@@ -23,18 +23,21 @@
  *                     byte-identically (docs/SIMULATOR.md)
  *  - QZ_BENCH_LIST    =1: print every registered workload with its
  *                     variants/datasets and exit
- *  - QZ_BENCH_HOSTPERF =1: record host wall-clock per cell into the
- *                     JSON report ("host_ns" on each result). Off by
- *                     default so reports stay byte-identical across
- *                     machines and serial/parallel/sharded runs
- *                     (docs/SIMULATOR.md, "Host performance")
+ *
+ * A malformed or non-positive QZ_BENCH_SCALE/QZ_BENCH_THREADS is a
+ * fatal error, never a silent default. These binaries report
+ * simulated metrics; host throughput is measured by the benchmark
+ * (python3 qzbench/run.py, see qzbench/NOTES.md).
  */
 #ifndef QUETZAL_BENCH_BENCH_COMMON_HPP
 #define QUETZAL_BENCH_BENCH_COMMON_HPP
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,26 +58,32 @@ namespace quetzal::bench {
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("QZ_BENCH_SCALE")) {
-        const double scale = std::atof(env);
-        if (scale > 0)
-            return scale;
-    }
-    return 1.0;
+    const char *env = std::getenv("QZ_BENCH_SCALE");
+    if (!env)
+        return 1.0;
+    errno = 0;
+    char *end = nullptr;
+    const double scale = std::strtod(env, &end);
+    fatal_if(*env == '\0' || *end != '\0' || errno == ERANGE ||
+                 !std::isfinite(scale) || scale <= 0,
+             "QZ_BENCH_SCALE='{}' is not a positive number", env);
+    return scale;
 }
 
 /** Harness worker count from QZ_BENCH_THREADS (default: all cores). */
 inline unsigned
 benchThreads()
 {
-    if (const char *env = std::getenv("QZ_BENCH_THREADS")) {
-        const long n = std::atol(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-        warn("ignoring QZ_BENCH_THREADS='{}' (want a positive integer)",
-             env);
-    }
-    return ThreadPool::hardwareThreads();
+    const char *env = std::getenv("QZ_BENCH_THREADS");
+    if (!env)
+        return ThreadPool::hardwareThreads();
+    errno = 0;
+    char *end = nullptr;
+    const long n = std::strtol(env, &end, 10);
+    fatal_if(*env == '\0' || *end != '\0' || errno == ERANGE || n <= 0 ||
+                 n > std::numeric_limits<unsigned>::max(),
+             "QZ_BENCH_THREADS='{}' is not a positive integer", env);
+    return static_cast<unsigned>(n);
 }
 
 /** Print the experiment banner with the Table I system summary. */

@@ -63,13 +63,6 @@ shardName(const ShardSpec &shard)
     return qformat("{}/{}", shard.index, shard.count);
 }
 
-bool
-hostPerfFromEnv()
-{
-    const char *env = std::getenv("QZ_BENCH_HOSTPERF");
-    return env && *env && std::string_view(env) != "0";
-}
-
 std::size_t
 truncateTornCheckpointTail(const std::string &path)
 {
@@ -261,24 +254,11 @@ BatchRunner::run()
                     if (fire)
                         throwInjectedFault(*policy_.inject);
                 }
-                // Host wall-clock is measured right around the
-                // simulation and only when asked for: the timestamp
-                // never influences control flow, so simulated metrics
-                // are identical with it on or off.
-                const auto started =
-                    hostPerf_ ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
                 // Each attempt streams from a fresh cursor over the
                 // shared (const, thread-safe) source.
                 const auto stream = cell.source->fork();
                 RunResult result =
                     cell.workload->runStream(*stream, cell.options);
-                if (hostPerf_)
-                    result.hostNanos = static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - started)
-                            .count());
                 {
                     std::lock_guard<std::mutex> lock(recordMutex);
                     retries += attempt - 1;

@@ -188,9 +188,6 @@ struct BatchOutcome
     }
 };
 
-/** True when QZ_BENCH_HOSTPERF is set to a non-empty, non-"0" value. */
-bool hostPerfFromEnv();
-
 /**
  * Repair a JSONL checkpoint whose writer was killed mid-line: when
  * the file does not end in '\n', drop the bytes after the last
@@ -219,7 +216,6 @@ class BatchRunner
     {
         policy_.inject = faultInjectionFromEnv();
         policy_.shard = shardFromEnv();
-        hostPerf_ = hostPerfFromEnv();
     }
 
     /** Queue @p cell; @return its index into run()'s result vector. */
@@ -294,16 +290,6 @@ class BatchRunner
     }
 
     /**
-     * Record host wall-clock per cell into RunResult::hostNanos
-     * (default: the QZ_BENCH_HOSTPERF environment variable). Off by
-     * default so reports stay byte-identical across machines and
-     * serial/parallel/sharded execution (docs/SIMULATOR.md, "Host
-     * performance").
-     */
-    void setHostPerf(bool enabled) { hostPerf_ = enabled; }
-    bool hostPerf() const { return hostPerf_; }
-
-    /**
      * Run every queued cell and clear the queue. Results are ordered
      * by submission index. Failing cells become CellFailure records
      * (unless policy().isolateFailures is false, which restores the
@@ -314,7 +300,6 @@ class BatchRunner
   private:
     unsigned threads_;
     BatchPolicy policy_;
-    bool hostPerf_ = false;
     std::vector<BatchCell> cells_;
 };
 

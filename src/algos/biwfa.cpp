@@ -142,13 +142,11 @@ biwfaScore(WfaEngine &engine, std::string_view pattern,
         return scoreImpl(engine, pattern, text, esize, bp);
     } catch (const WfaBudgetExceeded &e) {
         // Score-only callers need the exact score; no degraded mode.
-        const std::string msg = qformat(
-            "BiWFA step budget exhausted (pair {}x{}: {} steps / "
-            "ceiling {})",
+        throw ResourceError(qformat(
+            "fatal: BiWFA step budget exhausted (pair {}x{}: {} steps "
+            "/ ceiling {})",
             pattern.size(), text.size(), e.steps,
-            engine.budget().maxSteps);
-        std::fputs(("fatal: " + msg + "\n").c_str(), stderr);
-        throw ResourceError(msg);
+            engine.budget().maxSteps));
     }
 }
 

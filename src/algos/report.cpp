@@ -24,11 +24,6 @@ toJson(const RunResult &result)
         .field("dp_cells", result.dpCells)
         .field("outputs_match", result.outputsMatch)
         .field("degraded_pairs", result.degradedPairs);
-    // Host wall-clock is emitted only when it was recorded
-    // (QZ_BENCH_HOSTPERF=1): default reports must stay byte-identical
-    // across hosts and shard/serial/parallel execution.
-    if (result.hostNanos != 0)
-        json.field("host_ns", result.hostNanos);
     json.beginObject("stalls")
         .field("frontend", result.stallCycles(sim::StallKind::Frontend))
         .field("compute", result.stallCycles(sim::StallKind::Compute))
@@ -84,7 +79,6 @@ runResultFromJson(const JsonValue &json)
     result.dpCells = json.getUint("dp_cells");
     result.outputsMatch = json.getBool("outputs_match", true);
     result.degradedPairs = json.getUint("degraded_pairs");
-    result.hostNanos = json.getUint("host_ns");
     if (const JsonValue *stalls = json.find("stalls");
         stalls && stalls->isObject()) {
         auto slot = [&result](sim::StallKind kind) -> std::uint64_t & {

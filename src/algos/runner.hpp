@@ -88,35 +88,6 @@ struct RunResult
      */
     std::uint64_t degradedPairs = 0;
 
-    /**
-     * Host wall-clock spent simulating this cell, in nanoseconds.
-     * Recorded only when QZ_BENCH_HOSTPERF=1 (see BatchRunner) and
-     * serialized ("host_ns") only when nonzero, so default reports
-     * stay byte-identical across machines, thread counts, and shard
-     * merges — host timing is observability, never a simulated metric.
-     */
-    std::uint64_t hostNanos = 0;
-
-    /** Simulated instructions per host second (0 when untimed). */
-    double
-    hostInstructionRate() const
-    {
-        return hostNanos == 0
-                   ? 0.0
-                   : static_cast<double>(instructions) * 1e9 /
-                         static_cast<double>(hostNanos);
-    }
-
-    /** Simulated memory accesses per host second (0 when untimed). */
-    double
-    hostAccessRate() const
-    {
-        return hostNanos == 0
-                   ? 0.0
-                   : static_cast<double>(memRequests) * 1e9 /
-                         static_cast<double>(hostNanos);
-    }
-
     /** Stall cycles, indexed by sim::StallKind. */
     std::array<std::uint64_t,
                static_cast<std::size_t>(sim::StallKind::NumKinds)>

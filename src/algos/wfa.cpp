@@ -135,14 +135,12 @@ pruneWave(WfaEngine &engine, const Wave &wave, std::int32_t maxLag,
 [[noreturn]] void
 budgetExhausted(const WfaEngine &engine, std::int64_t m, std::int64_t n)
 {
-    const std::string msg = qformat(
-        "resource budget exhausted even after pruned retry "
+    throw ResourceError(qformat(
+        "fatal: resource budget exhausted even after pruned retry "
         "(pair {}x{}: {} steps / ceiling {}, {} wave bytes / "
         "ceiling {})",
         m, n, engine.stepsUsed(), engine.budget().maxSteps,
-        engine.waveBytesUsed(), engine.budget().maxWaveBytes);
-    std::fputs(("fatal: " + msg + "\n").c_str(), stderr);
-    throw ResourceError(msg);
+        engine.waveBytesUsed(), engine.budget().maxWaveBytes));
 }
 
 } // namespace

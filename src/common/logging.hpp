@@ -58,7 +58,9 @@ class ResourceError : public FatalError
 };
 
 /**
- * Report an internal invariant violation (a library bug) and throw.
+ * Throw a PanicError for an internal invariant violation (a library
+ * bug). Nothing is printed here: whoever catches the error records or
+ * prints its message, so it reaches the user exactly once.
  *
  * @param fmt "{}"-style format string followed by its arguments.
  */
@@ -66,24 +68,20 @@ template <typename... Args>
 [[noreturn]] void
 panic(std::string_view fmt, Args &&...args)
 {
-    std::string msg =
-        "panic: " + qformat(fmt, std::forward<Args>(args)...);
-    std::fputs((msg + "\n").c_str(), stderr);
-    throw PanicError(msg);
+    throw PanicError("panic: " +
+                     qformat(fmt, std::forward<Args>(args)...));
 }
 
 /**
- * Report a user-caused unrecoverable condition (bad input or
- * configuration) and throw.
+ * Throw a FatalError for a user-caused unrecoverable condition (bad
+ * input or configuration). Like panic(), it prints nothing itself.
  */
 template <typename... Args>
 [[noreturn]] void
 fatal(std::string_view fmt, Args &&...args)
 {
-    std::string msg =
-        "fatal: " + qformat(fmt, std::forward<Args>(args)...);
-    std::fputs((msg + "\n").c_str(), stderr);
-    throw FatalError(msg);
+    throw FatalError("fatal: " +
+                     qformat(fmt, std::forward<Args>(args)...));
 }
 
 /** Print a warning about suspicious but survivable behaviour. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Indexed on-disk read store (docs/STORE.md): the binary format that
- * lets qz-align/qz-filter/qz-perf sweep millions of pairs at bounded
+ * lets qz-align/qz-filter/qz-serve sweep millions of pairs at bounded
  * memory instead of regenerating datasets in RAM per run. Modeled on
  * Canu's seqStore/ovStore architecture — a fixed header with dataset
  * provenance, a 2-bit-packed payload with an 8-bit escape, and a

@@ -159,7 +159,7 @@ const HostSimdOps *hostSimdAvx2Ops();
 /** Compiled-in AVX-512 table if this CPU supports it, else nullptr. */
 const HostSimdOps *hostSimdAvx512Ops();
 
-/** Host compiler identification (for BENCH_hostperf.json records). */
+/** Host compiler identification (for benchmark provenance records). */
 const char *hostSimdCompiler();
 
 /** Configure-time cap plus the compiled tables, e.g. "auto(avx512,avx2)". */

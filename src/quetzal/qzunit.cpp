@@ -7,7 +7,6 @@
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "isa/hostsimd.hpp"
-#include "sim/hostphase.hpp"
 
 namespace quetzal::accel {
 
@@ -236,12 +235,9 @@ VReg
 QzUnit::qzcount(const VReg &val0, const VReg &val1)
 {
     VReg out;
-    {
-        sim::HostPhase::Scope scope(sim::HostPhase::Func);
-        isa::hostSimd().qzcount(val0.words.data(), val1.words.data(),
-                                CountAlu::shiftFor(esiz_),
-                                out.words.data());
-    }
+    isa::hostSimd().qzcount(val0.words.data(), val1.words.data(),
+                            CountAlu::shiftFor(esiz_),
+                            out.words.data());
     out.tag = vpu_.pipeline().executeQz(OpClass::QzCount,
                                         CountAlu::kPipelineDepth,
                                         {val0.tag, val1.tag});
@@ -257,15 +253,15 @@ QzUnit::stageSequence2bit(QzSel sel, std::string_view seq)
              seq.size(), buf.capacityElements(ElementSize::Bits2));
     // 64 chars per iteration: one contiguous vector load feeds one
     // qzencode, filling two consecutive 64-bit SRAM words.
-    char block[64];
+    std::array<char, 64> &block = stageBlock(sel);
     for (std::size_t off = 0, word = 0; off < seq.size();
          off += 64, word += 2) {
         const std::size_t chunk = std::min<std::size_t>(64,
                                                         seq.size() - off);
-        std::memset(block, 'A', sizeof(block));
-        std::memcpy(block, seq.data() + off, chunk);
-        const VReg chars =
-            vpu_.load(/*site=*/0x9100 + static_cast<int>(sel), block, 64);
+        block.fill('A');
+        std::memcpy(block.data(), seq.data() + off, chunk);
+        const VReg chars = vpu_.load(
+            /*site=*/0x9100 + static_cast<int>(sel), block.data(), 64);
         qzencode(sel, chars, word);
     }
 }
@@ -279,13 +275,14 @@ QzUnit::stageSequence8bit(QzSel sel, std::string_view seq)
              seq.size(), buf.capacityElements(ElementSize::Bits8));
     // 64 chars per iteration: vector load + direct-mode write of eight
     // consecutive words (one per bank: single-cycle, conflict-free).
+    std::array<char, 64> &block = stageBlock(sel);
     for (std::size_t off = 0; off < seq.size(); off += 64) {
         const std::size_t chunk = std::min<std::size_t>(64,
                                                         seq.size() - off);
-        char block[64] = {};
-        std::memcpy(block, seq.data() + off, chunk);
-        const VReg chars =
-            vpu_.load(/*site=*/0x9200 + static_cast<int>(sel), block, 64);
+        block.fill(0);
+        std::memcpy(block.data(), seq.data() + off, chunk);
+        const VReg chars = vpu_.load(
+            /*site=*/0x9200 + static_cast<int>(sel), block.data(), 64);
         for (unsigned w = 0; w < 8; ++w)
             buf.writeWord(off / 8 + w, chars.u64(w));
         writeTag(sel) = vpu_.pipeline().executeQz(

@@ -13,6 +13,7 @@
 #ifndef QUETZAL_QUETZAL_QZUNIT_HPP
 #define QUETZAL_QUETZAL_QZUNIT_HPP
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -158,7 +159,20 @@ class QzUnit
         return sel == QzSel::Buf0 ? write0_ : write1_;
     }
 
+    /** Sim-visible 64-char block stageSequence2bit/8bit load from. */
+    std::array<char, 64> &stageBlock(QzSel sel)
+    {
+        return stage_[sel == QzSel::Buf0 ? 0 : 1];
+    }
+
     isa::VectorUnit &vpu_;
+    /**
+     * One staging block per buffer, as members rather than stack
+     * arrays: where the compiler puts two stack arrays depends on
+     * inlining, and blocks that partly overlap share translated
+     * paragraphs, so the simulated cycles changed with the build.
+     */
+    alignas(16) std::array<std::array<char, 64>, 2> stage_{};
     QBuffer buf0_;
     QBuffer buf1_;
     sim::Tag write0_{}; //!< store->load dependency through QBUFFER 0

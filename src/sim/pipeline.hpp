@@ -379,8 +379,8 @@ class Pipeline
     }
     [[noreturn]] QZ_SIM_NOINLINE_COLD void badOpClass(OpClass cls);
 
-    /** executeMem body without the host-phase scope: executeMemRun
-     *  opens one scope for the whole run and invokes this per op. */
+    /** executeMem body, force-inlined into executeMem and into the
+     *  per-op loops of executeMemRun. */
     Tag memOpImpl(OpClass cls, std::uint64_t pc, Addr addr,
                   unsigned bytes, Tag dep);
 

@@ -1,15 +1,20 @@
 /**
  * @file
- * Regression tests for the command-line option parser: negative
- * numeric values must bind as option values (not become flags), and
- * malformed numeric input must be a fatal diagnostic instead of
- * silently parsing as 0.
+ * Regression tests for the command-line and environment input
+ * boundaries: negative numeric values must bind as option values (not
+ * become flags), unknown option names and malformed numeric input must
+ * be one usage error instead of silently falling back to a default,
+ * and the bench binaries' QZ_BENCH_SCALE/QZ_BENCH_THREADS knobs must
+ * be parsed as strictly.
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "../tools/cli_common.hpp"
 
 namespace quetzal::cli {
@@ -34,11 +39,14 @@ class Argv
     std::vector<char *> ptrs_;
 };
 
+/** Parse with the option names the tests below use. */
 Args
 parse(std::vector<std::string> args)
 {
     Argv argv(std::move(args));
-    return Args(argv.argc(), argv.argv());
+    return Args(argv.argc(), argv.argv(),
+                {"bias", "big", "cigar", "rate", "ssthreshold", "threads",
+                 "variant", "verbose"});
 }
 
 TEST(Cli, LooksLikeNumberClassifiesLiterals)
@@ -117,11 +125,111 @@ TEST(Cli, OutOfRangeIntegerIsFatal)
     EXPECT_THROW(args.getInt("big", 0), FatalError);
 }
 
+TEST(Cli, HelpNeedsNoDeclaration)
+{
+    Argv argv({"--help", "--count", "25"});
+    const Args args(argv.argc(), argv.argv(), {"count"});
+    EXPECT_TRUE(args.has("help"));
+    EXPECT_EQ(args.getInt("count", 100), 25);
+}
+
+TEST(Cli, UsageErrorsPrintOnceAndExitTwo)
+{
+    // Regression: qz-datagen --pairs 25 used to write the default 100
+    // pairs and exit 0.
+    // The shape of every tool's main(): parse, then report whatever
+    // escaped exactly once at the top level.
+    auto tool = [](std::vector<std::string> args) {
+        try {
+            Argv argv(std::move(args));
+            const Args parsed(argv.argc(), argv.argv(), {"count"});
+            parsed.getInt("count", 1);
+            fatal("no work for {}", "this tool");
+        } catch (const std::exception &e) {
+            return reportError(e);
+        }
+    };
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(tool({"--pairs", "25"}), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: unknown option --pairs (valid: --count --help)\n");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(tool({"--count", "x"}), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: option --count expects an integer, got 'x'\n");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(tool({"--count", "3"}), 1);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: no work for this tool\n");
+}
+
 TEST(Cli, WellFormedValuesStillParse)
 {
     const Args args = parse({"--threads", "8", "--rate", "1.5e-2"});
     EXPECT_EQ(args.getInt("threads", 1), 8);
     EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 0.015);
+}
+
+/** Set (or, for nullopt, unset) @p name for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, std::optional<std::string> value)
+        : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        if (value)
+            ::setenv(name, value->c_str(), 1);
+        else
+            ::unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(BenchEnv, ScaleParsesStrictly)
+{
+    {
+        const ScopedEnv env("QZ_BENCH_SCALE", std::nullopt);
+        EXPECT_DOUBLE_EQ(bench::benchScale(), 1.0);
+    }
+    {
+        const ScopedEnv env("QZ_BENCH_SCALE", "0.02");
+        EXPECT_DOUBLE_EQ(bench::benchScale(), 0.02);
+    }
+    // Regression: atof() turned "abc" into scale 1.0 with no message.
+    for (const char *bad : {"abc", "0.5x", "", "0", "-1", "inf", "nan",
+                            "1e999"}) {
+        const ScopedEnv env("QZ_BENCH_SCALE", bad);
+        EXPECT_THROW(bench::benchScale(), FatalError) << "'" << bad << "'";
+    }
+}
+
+TEST(BenchEnv, ThreadsParseStrictly)
+{
+    {
+        const ScopedEnv env("QZ_BENCH_THREADS", "3");
+        EXPECT_EQ(bench::benchThreads(), 3u);
+    }
+    // Regression: a malformed value only warned and fell back to every
+    // core.
+    for (const char *bad : {"four", "4x", "", "0", "-2", "1.5",
+                            "99999999999999999999999"}) {
+        const ScopedEnv env("QZ_BENCH_THREADS", bad);
+        EXPECT_THROW(bench::benchThreads(), FatalError) << "'" << bad << "'";
+    }
 }
 
 } // namespace

@@ -158,6 +158,24 @@ TEST(Logging, FatalThrowsFatalError)
     EXPECT_NO_THROW(fatal_if(false, "fine"));
 }
 
+TEST(Logging, ErrorsPrintNothingThemselves)
+{
+    // The catcher prints or records the message, so it reaches the
+    // user once; fatal()/panic() writing to stderr too doubled it.
+    testing::internal::CaptureStderr();
+    try {
+        fatal("user error {}", 7);
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: user error 7");
+    }
+    try {
+        panic("bug {}", 8);
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "panic: bug 8");
+    }
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Stats, CountersAccumulateAndReset)
 {
     StatGroup group("test");

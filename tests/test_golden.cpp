@@ -1,12 +1,17 @@
 /**
  * @file
- * Golden-metrics regression: the tiny perf-matrix sweep's BenchReport
- * JSON must be byte-identical to the snapshot in tests/data/ —
- * pinning every simulated metric (cycles, instructions, requests,
+ * Golden-metrics regression: the BenchReport JSON of two small,
+ * pinned sweeps must be byte-identical to the snapshots in tests/data/
+ * — pinning every simulated metric (cycles, instructions, requests,
  * DRAM bytes, scores, stall breakdowns) against drift from host-side
- * optimization work. Host wall-clock fields are excluded by
- * construction: they are only serialized when recorded, and this
- * sweep never records them.
+ * optimization work:
+ *  - the tiny matrix: 12 short-read cells, {100bp_1, 250bp_1} x
+ *    {WFA, SneakySnake} x {BASE, VEC, QUETZAL+C};
+ *  - the kernel matrix: the Fig. 15b histogram and SpMV cells, every
+ *    registered variant.
+ * Both run at the pinned kTinyScale. The snapshots keep the "qz-perf"
+ * bench label of the harness that first wrote them, so the files stay
+ * byte-identical.
  *
  * Regenerate deliberately with QZ_UPDATE_GOLDEN=1 after a change that
  * is *supposed* to alter simulated behavior, and say why in the PR.
@@ -15,19 +20,39 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "algos/batch.hpp"
 #include "algos/report.hpp"
-#include "../tools/perf_matrix.hpp"
+#include "algos/workload.hpp"
+#include "genomics/datasets.hpp"
 
 namespace quetzal {
 namespace {
+
+/** Pinned scale of both matrices (the golden metrics depend on it). */
+constexpr double kTinyScale = 0.1;
+
+/** The bench label recorded in the snapshots. */
+constexpr const char *kGoldenBench = "qz-perf";
 
 std::string
 goldenPath(const char *file)
 {
     return std::string(QZ_TESTS_DATA_DIR) + "/" + file;
+}
+
+/** Bench-style cell options: no verification, QUETZAL hw as needed. */
+algos::RunOptions
+cellOptions(algos::Variant variant)
+{
+    algos::RunOptions options;
+    options.variant = variant;
+    options.verify = false;
+    if (algos::needsQuetzal(variant))
+        options.system = sim::SystemParams::withQuetzal(8);
+    return options;
 }
 
 /** A runner whose report bytes cannot depend on ambient QZ_* config. */
@@ -37,35 +62,57 @@ pinnedRunner()
     algos::BatchRunner runner(1);
     runner.setShard(std::nullopt);
     runner.setFaultInjection(std::nullopt);
-    runner.setHostPerf(false);
     return runner;
 }
 
-/** The exact bytes `qz-perf --tiny --metrics` writes (sans newline). */
+/** Run the cells queued on @p runner and serialize the report. */
+std::string
+reportJson(algos::BatchRunner &runner)
+{
+    const algos::BatchOutcome outcome = runner.run();
+    EXPECT_TRUE(outcome.ok());
+    return algos::toJson(
+        algos::makeBenchReport(kGoldenBench, kTinyScale, 1, outcome));
+}
+
 std::string
 tinyMatrixReportJson()
 {
     algos::BatchRunner runner = pinnedRunner();
-    const std::size_t cells =
-        perf::addPerfMatrix(runner, perf::kTinyScale, /*tiny=*/true);
+    std::size_t cells = 0;
+    for (const char *name : {"100bp_1", "250bp_1"}) {
+        const auto ds = std::make_shared<const genomics::PairDataset>(
+            genomics::makeDataset(name, kTinyScale));
+        for (const algos::AlgoKind kind :
+             {algos::AlgoKind::Wfa, algos::AlgoKind::SneakySnake}) {
+            for (const algos::Variant variant :
+                 {algos::Variant::Base, algos::Variant::Vec,
+                  algos::Variant::QzC}) {
+                runner.add(kind, ds, cellOptions(variant));
+                ++cells;
+            }
+        }
+    }
     EXPECT_EQ(cells, 12u);
-    const algos::BatchOutcome outcome = runner.run();
-    EXPECT_TRUE(outcome.ok());
-    return algos::toJson(algos::makeBenchReport(
-        "qz-perf", perf::kTinyScale, 1, outcome));
+    return reportJson(runner);
 }
 
-/** The exact bytes `qz-perf --kernels --metrics` writes. */
 std::string
 kernelMatrixReportJson()
 {
     algos::BatchRunner runner = pinnedRunner();
-    const std::size_t cells = perf::addKernelMatrix(runner);
+    std::size_t cells = 0;
+    for (const char *name : {"histogram", "spmv"}) {
+        const algos::Workload &workload = algos::workloadByName(name);
+        const auto ds = std::make_shared<const genomics::PairDataset>(
+            workload.makeDataset(name, kTinyScale));
+        for (const algos::Variant variant : workload.variants()) {
+            runner.add(workload, ds, cellOptions(variant));
+            ++cells;
+        }
+    }
     EXPECT_EQ(cells, 6u);
-    const algos::BatchOutcome outcome = runner.run();
-    EXPECT_TRUE(outcome.ok());
-    return algos::toJson(algos::makeBenchReport(
-        "qz-perf", perf::kTinyScale, 1, outcome));
+    return reportJson(runner);
 }
 
 /** Byte-compare @p json against the snapshot file @p file. */
@@ -105,39 +152,22 @@ TEST(GoldenMetrics, KernelMatrixIsByteIdenticalToSnapshot)
                         "golden_kernels.json");
 }
 
-TEST(GoldenMetrics, HostTimingStaysOutOfDefaultReports)
+TEST(GoldenMetrics, UnknownResultFieldsAreIgnoredOnLoad)
 {
-    // The serializer must keep wall-clock out of untimed results (the
-    // byte-identity above, CI's shard-merge diff, and checkpoint
-    // replay all depend on it) and include it once recorded.
+    // Checkpoints written by older builds may carry fields this one no
+    // longer emits (host wall-clock did); they must keep loading.
     algos::RunResult result;
     result.algo = "WFA";
     result.variant = "BASE";
     result.dataset = "d";
-    EXPECT_EQ(algos::toJson(result).find("host_ns"),
-              std::string::npos);
-    result.hostNanos = 123456789;
-    const std::string timed = algos::toJson(result);
-    EXPECT_NE(timed.find("\"host_ns\":123456789"), std::string::npos);
-    // And it round-trips through the checkpoint parser.
-    const auto parsed = parseJson(timed);
+    result.cycles = 42;
+    std::string json = algos::toJson(result);
+    json.insert(json.find("\"stalls\""), "\"retired_field\":1234,");
+    const auto parsed = parseJson(json);
     ASSERT_TRUE(parsed.has_value());
     const auto back = algos::runResultFromJson(*parsed);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->hostNanos, 123456789u);
-    EXPECT_NEAR(back->hostInstructionRate(), 0.0, 1e-12);
-}
-
-TEST(GoldenMetrics, HostRatesDeriveFromNanos)
-{
-    algos::RunResult result;
-    result.instructions = 2'000'000;
-    result.memRequests = 500'000;
-    EXPECT_EQ(result.hostInstructionRate(), 0.0);
-    EXPECT_EQ(result.hostAccessRate(), 0.0);
-    result.hostNanos = 1'000'000'000; // one second
-    EXPECT_DOUBLE_EQ(result.hostInstructionRate(), 2e6);
-    EXPECT_DOUBLE_EQ(result.hostAccessRate(), 5e5);
+    EXPECT_EQ(algos::toJson(*back), algos::toJson(result));
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 
 #include <bit>
 #include <cstring>
+#include <iostream>
 #include <random>
 #include <vector>
 
@@ -468,8 +469,12 @@ TEST(HostSimdDispatch, ResolvedBackendIsACompiledTable)
     const bool isAvx512 =
         hostSimdAvx512Ops() && &active == hostSimdAvx512Ops();
     EXPECT_TRUE(isScalar || isAvx2 || isAvx512);
-    EXPECT_NE(nullptr, hostSimdCompiler());
-    EXPECT_NE(nullptr, hostSimdBuildFlags());
+    ASSERT_NE(nullptr, hostSimdCompiler());
+    ASSERT_NE(nullptr, hostSimdBuildFlags());
+    // One line for logs (CI prints it for each backend leg).
+    std::cout << "resolved host-SIMD backend: " << name
+              << " | compiler: " << hostSimdCompiler()
+              << " | build: " << hostSimdBuildFlags() << "\n";
 }
 
 } // namespace

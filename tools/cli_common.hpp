@@ -5,12 +5,16 @@
 #ifndef QUETZAL_TOOLS_CLI_COMMON_HPP
 #define QUETZAL_TOOLS_CLI_COMMON_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <signal.h>
@@ -77,16 +81,53 @@ looksLikeNumber(const std::string &arg)
     return end == arg.c_str() + arg.size() && errno == 0;
 }
 
+/** A command-line mistake; the tools exit 2 on it instead of 1. */
+class UsageError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
+/** Throw a UsageError with fatal()'s "fatal: " message format. */
+template <typename... Ts>
+[[noreturn]] void
+usageError(std::string_view fmt, Ts &&...args)
+{
+    throw UsageError("fatal: " + qformat(fmt, std::forward<Ts>(args)...));
+}
+
+/**
+ * Print a tool's top-level error once and pick its exit status: 2 for
+ * a command-line mistake, 1 for anything else.
+ */
+inline int
+reportError(const std::exception &error)
+{
+    std::cerr << error.what() << "\n";
+    return dynamic_cast<const UsageError *>(&error) ? 2 : 1;
+}
+
 /** Parsed "--key value" options plus positional arguments. */
 class Args
 {
   public:
-    Args(int argc, char **argv)
+    /**
+     * @param accepted the option names (without "--") the tool reads;
+     *                 "help" is always accepted. Any other "--name" is
+     *                 a UsageError listing the valid names, so a
+     *                 mistyped flag never falls back to a default.
+     */
+    Args(int argc, char **argv,
+         std::initializer_list<std::string_view> accepted)
     {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) == 0) {
                 const std::string key = arg.substr(2);
+                if (key != "help" &&
+                    std::find(accepted.begin(), accepted.end(), key) ==
+                        accepted.end())
+                    unknownOption(key, accepted);
                 // The next argv is this option's value unless it is
                 // itself an option. A leading '-' only disqualifies it
                 // when it isn't a number: "--ssthreshold -5" must bind
@@ -127,13 +168,13 @@ class Args
         errno = 0;
         char *end = nullptr;
         const long value = std::strtol(it->second.c_str(), &end, 10);
-        fatal_if(it->second.empty() ||
-                     end != it->second.c_str() + it->second.size(),
-                 "option --{} expects an integer, got '{}'", key,
-                 it->second);
-        fatal_if(errno == ERANGE,
-                 "option --{} value '{}' is out of range", key,
-                 it->second);
+        if (it->second.empty() ||
+            end != it->second.c_str() + it->second.size())
+            usageError("option --{} expects an integer, got '{}'", key,
+                       it->second);
+        if (errno == ERANGE)
+            usageError("option --{} value '{}' is out of range", key,
+                       it->second);
         return value;
     }
 
@@ -147,13 +188,13 @@ class Args
         errno = 0;
         char *end = nullptr;
         const double value = std::strtod(it->second.c_str(), &end);
-        fatal_if(it->second.empty() ||
-                     end != it->second.c_str() + it->second.size(),
-                 "option --{} expects a number, got '{}'", key,
-                 it->second);
-        fatal_if(errno == ERANGE,
-                 "option --{} value '{}' is out of range", key,
-                 it->second);
+        if (it->second.empty() ||
+            end != it->second.c_str() + it->second.size())
+            usageError("option --{} expects a number, got '{}'", key,
+                       it->second);
+        if (errno == ERANGE)
+            usageError("option --{} value '{}' is out of range", key,
+                       it->second);
         return value;
     }
 
@@ -168,6 +209,19 @@ class Args
     }
 
   private:
+    [[noreturn]] static void
+    unknownOption(const std::string &key,
+                  std::initializer_list<std::string_view> accepted)
+    {
+        std::vector<std::string_view> names(accepted);
+        names.push_back("help");
+        std::sort(names.begin(), names.end());
+        std::string valid;
+        for (const std::string_view name : names)
+            valid += qformat("{}--{}", valid.empty() ? "" : " ", name);
+        usageError("unknown option --{} (valid: {})", key, valid);
+    }
+
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
 };

@@ -78,7 +78,11 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(argc, argv);
+        const cli::Args args(
+            argc, argv,
+            {"algo", "checkpoint", "cigar", "e", "json", "lag", "list",
+             "maxlen", "o", "protein", "sam", "serve", "shard", "store",
+             "threads", "variant", "window", "x"});
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;
@@ -489,7 +493,6 @@ main(int argc, char **argv)
         }
         return 0;
     } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
+        return cli::reportError(e);
     }
 }

@@ -28,7 +28,10 @@ main(int argc, char **argv)
 {
     using namespace quetzal;
     try {
-        const cli::Args args(argc, argv);
+        const cli::Args args(
+            argc, argv,
+            {"count", "dataset", "error", "fasta", "length", "out", "scale",
+             "seed", "store"});
         if (args.has("help")) {
             std::cout
                 << "qz-datagen: generate pattern/text pair workloads\n"
@@ -150,7 +153,6 @@ main(int argc, char **argv)
                       << args.get("fasta") << "\n";
         return 0;
     } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
+        return cli::reportError(e);
     }
 }

@@ -34,7 +34,10 @@ main(int argc, char **argv)
     using namespace quetzal;
     using algos::Variant;
     try {
-        const cli::Args args(argc, argv);
+        const cli::Args args(
+            argc, argv,
+            {"accepted", "checkpoint", "filter", "list", "serve", "shard",
+             "store", "threads", "threshold", "variant", "verbose"});
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;
@@ -348,7 +351,6 @@ main(int argc, char **argv)
         }
         return 0;
     } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
+        return cli::reportError(e);
     }
 }

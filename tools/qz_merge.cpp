@@ -44,7 +44,7 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(argc, argv);
+        const cli::Args args(argc, argv, {"out"});
         if (args.has("help") || args.positional().empty()) {
             std::cout
                 << "qz-merge SHARD.json... [options]\n"
@@ -76,7 +76,6 @@ main(int argc, char **argv)
         }
         return 0;
     } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
+        return cli::reportError(e);
     }
 }

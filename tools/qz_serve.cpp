@@ -74,7 +74,10 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(argc, argv);
+        const cli::Args args(
+            argc, argv,
+            {"check", "deadline", "list", "out", "queue", "quiet", "retries",
+             "shed", "worker", "workers"});
 
         // Internal entry point: this process was fork/exec'd as a
         // pool worker and speaks frames on stdin/stdout. Re-point
@@ -248,7 +251,6 @@ main(int argc, char **argv)
             return 130;
         return stats.errors > 0 ? 1 : 0;
     } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
+        return cli::reportError(e);
     }
 }
