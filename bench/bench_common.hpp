@@ -25,9 +25,10 @@
  *                     variants/datasets and exit
  *
  * A malformed or non-positive QZ_BENCH_SCALE/QZ_BENCH_THREADS is a
- * fatal error, never a silent default. These binaries report
- * simulated metrics; host throughput is measured by the benchmark
- * (python3 qzbench/run.py, see qzbench/NOTES.md).
+ * fatal error, never a silent default: every main() runs its body
+ * through runMain(), which prints the error once and exits 1. These
+ * binaries report simulated metrics; host throughput is measured by
+ * the benchmark (python3 qzbench/run.py, see qzbench/NOTES.md).
  */
 #ifndef QUETZAL_BENCH_BENCH_COMMON_HPP
 #define QUETZAL_BENCH_BENCH_COMMON_HPP
@@ -35,6 +36,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -53,6 +55,24 @@
 #include "genomics/store.hpp"
 
 namespace quetzal::bench {
+
+/**
+ * A bench main()'s top level: run @p body and return its status. An
+ * error that escapes it is printed once (FatalError and PanicError
+ * messages carry their "fatal: "/"panic: " prefix) and becomes exit
+ * status 1 instead of std::terminate.
+ */
+template <typename Body>
+int
+runMain(Body &&body)
+{
+    try {
+        return body();
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 1;
+    }
+}
 
 /** Dataset scale factor from QZ_BENCH_SCALE (default 1.0). */
 inline double
@@ -95,15 +115,18 @@ banner(const std::string &title)
         std::cout << algos::workloadListing();
         std::exit(0);
     }
+    // Parse the knobs first: a bad one must not leave half a banner.
+    const double scale = benchScale();
+    const unsigned threads = benchThreads();
     std::cout << "==================================================\n"
               << title << "\n"
               << "Simulated system (Table I): 2.0 GHz A64FX-like, "
                  "512-bit SVE,\n"
               << "  L1D 64KB/8w lt=4, L2 8MB/16w lt=37, HBM2; "
                  "QUETZAL 2x8KB QBUFFERs\n"
-              << "Dataset scale: " << benchScale()
-              << " (QZ_BENCH_SCALE), harness threads: "
-              << benchThreads() << " (QZ_BENCH_THREADS)\n"
+              << "Dataset scale: " << scale
+              << " (QZ_BENCH_SCALE), harness threads: " << threads
+              << " (QZ_BENCH_THREADS)\n"
               << "==================================================\n";
 }
 

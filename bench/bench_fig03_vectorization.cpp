@@ -10,8 +10,10 @@
 
 #include <cmath>
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -71,4 +73,12 @@ main()
               << "x (paper ~2.5x)\n";
     bench::maybeWriteJson("fig03_vectorization", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -7,8 +7,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -57,4 +59,12 @@ main()
                  "time, growing with sequence length.\n";
     bench::maybeWriteJson("fig04_breakdown", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

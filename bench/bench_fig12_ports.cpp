@@ -5,8 +5,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -58,4 +60,12 @@ main()
                  "(2-cycle reads) is the chosen configuration.\n";
     bench::maybeWriteJson("fig12_ports", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -9,8 +9,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -91,4 +93,12 @@ main()
                  "datasets for simulation time).\n";
     bench::maybeWriteJson("fig13a_singlecore", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -12,8 +12,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -86,4 +88,12 @@ main()
                  "saturate.\n";
     bench::maybeWriteJson("fig13b_multicore", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -5,8 +5,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -59,4 +61,12 @@ main()
                  "updates the prefetcher handles.\n";
     bench::maybeWriteJson("fig14a_memreqs", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -8,8 +8,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -60,4 +62,12 @@ main()
                  "the four datasets.\n";
     bench::maybeWriteJson("fig14b_pipeline", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -11,8 +11,10 @@
 
 #include "gpu/gpu_model.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -80,4 +82,12 @@ main()
               << " mm^2 (>10x a 16-core QUETZAL CPU slice).\n";
     bench::maybeWriteJson("fig15a_gpu", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -19,8 +19,10 @@
 
 #include "algos/workload.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::Variant;
@@ -81,4 +83,12 @@ main()
                  "vectorized kernels.\n";
     bench::maybeWriteJson("fig15b_other_domains", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

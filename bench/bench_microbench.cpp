@@ -7,6 +7,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "genomics/encoding.hpp"
 #include "genomics/readsim.hpp"
 #include "quetzal/countalu.hpp"
@@ -85,4 +86,15 @@ BENCHMARK(BM_Pack2bit);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    return quetzal::bench::runMain([&] {
+        benchmark::Initialize(&argc, argv);
+        if (benchmark::ReportUnrecognizedArguments(argc, argv))
+            return 1;
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    });
+}

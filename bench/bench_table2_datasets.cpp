@@ -4,8 +4,10 @@
  */
 #include "bench_common.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     bench::banner("Table II: input dataset characteristics");
@@ -29,4 +31,12 @@ main()
               << protein.size() << " pairwise alignments of ~"
               << protein.readLength << " residues\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

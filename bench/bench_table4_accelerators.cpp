@@ -14,8 +14,10 @@
 
 #include "quetzal/area_model.hpp"
 
+namespace {
+
 int
-main()
+runBench()
 {
     using namespace quetzal;
     using algos::AlgoKind;
@@ -61,4 +63,12 @@ main()
                  "one programmable datapath at ~1.4% SoC overhead.\n";
     bench::maybeWriteJson("table4_accelerators", batch.outcome());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return quetzal::bench::runMain(runBench);
 }

@@ -1,59 +1,25 @@
 /**
  * @file
- * Host-SIMD backend resolution: configure-time cap, environment
- * override, CPUID — in that order, each step only able to lower the
- * selection. Resolved once per process (first hostSimd() call) so the
- * facade pays a single indirection per kernel, never a re-check.
+ * Host-SIMD backend resolution: the QZ_HOST_SIMD environment variable
+ * (auto | scalar), then CPUID. Resolved once per process (first
+ * hostSimd() call) so the facade pays a single indirection per
+ * kernel, never a re-check.
  */
 #include "isa/hostsimd.hpp"
 
-#include "isa/hostsimd_tables.hpp"
+#include "common/format.hpp"
 
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#ifndef QZ_HOSTSIMD_CONFIG
-#define QZ_HOSTSIMD_CONFIG "auto"
-#endif
+#include <string>
+#include <string_view>
 
 namespace quetzal::isa {
 
+/** hostsimd_avx512.cpp; linked only under QZ_HOSTSIMD_HAVE_AVX512. */
+const HostSimdOps &hostSimdAvx512Table();
+
 namespace {
-
-enum class Level
-{
-    Scalar = 0,
-    Avx2 = 1,
-    Avx512 = 2,
-};
-
-Level
-parseLevel(const char *s, Level fallback)
-{
-    if (s == nullptr) {
-        return fallback;
-    }
-    if (std::strcmp(s, "avx512") == 0) {
-        return Level::Avx512;
-    }
-    if (std::strcmp(s, "avx2") == 0) {
-        return Level::Avx2;
-    }
-    if (std::strcmp(s, "scalar") == 0) {
-        return Level::Scalar;
-    }
-    return fallback; // "auto" or unrecognized: no restriction
-}
-
-bool
-cpuHasAvx2()
-{
-#if defined(QZ_HOSTSIMD_HAVE_AVX2)
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
 
 bool
 cpuHasAvx512()
@@ -71,21 +37,35 @@ cpuHasAvx512()
 #endif
 }
 
+/**
+ * True when QZ_HOST_SIMD forces the scalar table. Unset or empty
+ * means auto. Any other value is a configuration error for the whole
+ * process, not for one cell or request: the table is shared by every
+ * thread, and a throw here would surface once per caller. So it
+ * prints one "fatal:" line and exits with status 2.
+ */
+bool
+envForcesScalar()
+{
+    const char *env = std::getenv("QZ_HOST_SIMD");
+    if (env == nullptr || *env == '\0')
+        return false;
+    const std::string_view value = env;
+    if (value == "auto" || value == "scalar")
+        return value == "scalar";
+    const std::string msg = qformat("fatal: QZ_HOST_SIMD='{}' is not a "
+                                    "backend (expected auto|scalar)\n",
+                                    value);
+    std::fputs(msg.c_str(), stderr);
+    std::fflush(nullptr);
+    std::_Exit(2);
+}
+
 const HostSimdOps &
 resolve()
 {
-    Level cap = parseLevel(QZ_HOSTSIMD_CONFIG, Level::Avx512);
-    const Level env =
-        parseLevel(std::getenv("QZ_HOST_SIMD"), Level::Avx512);
-    if (env < cap) {
-        cap = env; // the environment can only lower the configure cap
-    }
-    if (cap >= Level::Avx512 && cpuHasAvx512()) {
+    if (!envForcesScalar() && cpuHasAvx512())
         return hostSimdAvx512Table();
-    }
-    if (cap >= Level::Avx2 && cpuHasAvx2()) {
-        return hostSimdAvx2Table();
-    }
     return hostSimdScalarOps();
 }
 
@@ -99,29 +79,13 @@ hostSimd()
 }
 
 const HostSimdOps *
-hostSimdAvx2Ops()
-{
-    if (!cpuHasAvx2()) {
-        return nullptr;
-    }
-#if defined(QZ_HOSTSIMD_HAVE_AVX2)
-    return &hostSimdAvx2Table();
-#else
-    return nullptr;
-#endif
-}
-
-const HostSimdOps *
 hostSimdAvx512Ops()
 {
-    if (!cpuHasAvx512()) {
-        return nullptr;
-    }
 #if defined(QZ_HOSTSIMD_HAVE_AVX512)
-    return &hostSimdAvx512Table();
-#else
-    return nullptr;
+    if (cpuHasAvx512())
+        return &hostSimdAvx512Table();
 #endif
+    return nullptr;
 }
 
 const char *
@@ -139,14 +103,11 @@ hostSimdCompiler()
 const char *
 hostSimdBuildFlags()
 {
-    return QZ_HOSTSIMD_CONFIG "("
 #if defined(QZ_HOSTSIMD_HAVE_AVX512)
-           "avx512,"
+    return "avx512,scalar";
+#else
+    return "scalar";
 #endif
-#if defined(QZ_HOSTSIMD_HAVE_AVX2)
-           "avx2,"
-#endif
-           "scalar)";
 }
 
 } // namespace quetzal::isa

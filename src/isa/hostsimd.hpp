@@ -6,24 +6,21 @@
  * functional payload on host data) from *what it costs* (the timing
  * report to sim::Pipeline). This header is the seam between the two:
  * a table of plain function pointers, one per hot lane kernel, that
- * the facade calls for the functional half. Three implementations of
+ * the facade calls for the functional half. Two implementations of
  * the table exist —
  *
  *   scalar  — the flat, branch-poor loops the facade always had;
- *             portable, and the reference model every other table is
+ *             portable, and the reference model the SIMD table is
  *             lockstep-tested against (tests/test_hostsimd.cpp)
- *   avx2    — 2 x 256-bit intrinsics for the arithmetic / compare /
- *             select kernels (count-type kernels stay scalar: AVX2
- *             has no lane popcount/lzcnt)
  *   avx512  — full-width 512-bit intrinsics for everything, including
  *             the matchBytes byte-run searches, per-lane ctz/clz via
  *             the popcount identity, and the CountALU XNOR +
  *             trailing-ones count (vpopcntq/vplzcntq)
  *
- * Selection is configure-time capped (the QZ_HOST_SIMD CMake option
- * decides which tables are even compiled), then restricted by the
- * QZ_HOST_SIMD environment variable, then resolved once per process
- * against CPUID (docs/SIMULATOR.md, "Host performance"). Timing
+ * The AVX-512 table is compiled whenever the compiler accepts its
+ * flags. Selection happens once per process: the QZ_HOST_SIMD
+ * environment variable (auto, the default, or scalar), then CPUID
+ * (docs/SIMULATOR.md, "Host-SIMD functional backend"). Timing
  * emission is untouched by construction: every kernel is a drop-in
  * replacement for the scalar loop, so simulated metrics are
  * byte-identical whichever table runs.
@@ -47,7 +44,7 @@ struct HostSimdOps
 {
     using W = std::uint64_t; //!< 8-word (512-bit) register view
 
-    const char *name; //!< "scalar" | "avx2" | "avx512"
+    const char *name; //!< "scalar" | "avx512"
 
     // ---- 64-bit bitwise / arithmetic (8 lanes) --------------------
     void (*and64)(const W *a, const W *b, W *out);
@@ -144,17 +141,16 @@ struct HostSimdOps
 };
 
 /**
- * The active backend, resolved once per process: configure-time cap
- * (QZ_HOST_SIMD CMake option) ∩ QZ_HOST_SIMD environment variable
- * ∩ CPUID. Never returns null — the scalar table always exists.
+ * The active backend, resolved once per process: the AVX-512 table
+ * when it is compiled in, CPUID reports its features and QZ_HOST_SIMD
+ * is not "scalar"; the scalar table otherwise. A QZ_HOST_SIMD value
+ * other than auto or scalar prints one "fatal:" line and exits the
+ * process with status 2.
  */
 const HostSimdOps &hostSimd();
 
 /** The scalar reference table (always available). */
 const HostSimdOps &hostSimdScalarOps();
-
-/** Compiled-in AVX2 table if this CPU supports it, else nullptr. */
-const HostSimdOps *hostSimdAvx2Ops();
 
 /** Compiled-in AVX-512 table if this CPU supports it, else nullptr. */
 const HostSimdOps *hostSimdAvx512Ops();
@@ -162,7 +158,7 @@ const HostSimdOps *hostSimdAvx512Ops();
 /** Host compiler identification (for benchmark provenance records). */
 const char *hostSimdCompiler();
 
-/** Configure-time cap plus the compiled tables, e.g. "auto(avx512,avx2)". */
+/** The compiled-in tables: "avx512,scalar" or "scalar". */
 const char *hostSimdBuildFlags();
 
 } // namespace quetzal::isa

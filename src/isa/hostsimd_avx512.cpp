@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX-512 HostSimdOps table. Compiled only when the configure enables
- * it (QZ_HOST_SIMD=auto|avx512 and the compiler accepts the flags);
- * selected at runtime only when CPUID reports every feature this TU
- * uses: F, BW, DQ, VL, CD (vplzcntd/q) and VPOPCNTDQ (vpopcntd/q).
+ * AVX-512 HostSimdOps table. Compiled whenever the compiler accepts
+ * the AVX-512 flags; selected at runtime (unless QZ_HOST_SIMD=scalar)
+ * only when CPUID reports every feature this TU uses: F, BW, DQ, VL,
+ * CD (vplzcntd/q) and VPOPCNTDQ (vpopcntd/q).
  *
  * Each kernel computes exactly what the scalar reference computes —
  * bit-for-bit, including the degenerate cases (ctz/clz of zero, shifts
@@ -13,7 +13,7 @@
  * the full element width, which is what the scalar <bit> functions
  * return).
  */
-#include "isa/hostsimd_tables.hpp"
+#include "isa/hostsimd.hpp"
 
 #include <immintrin.h>
 

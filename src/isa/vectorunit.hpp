@@ -15,7 +15,7 @@
  * Host-performance rules for this layer (docs/SIMULATOR.md, "Host
  * performance"): the functional payload of every hot op is delegated
  * to the process-wide host-SIMD kernel table (isa/hostsimd.hpp —
- * AVX-512 / AVX2 / scalar reference, resolved once at startup), and
+ * AVX-512 or the scalar reference, resolved once at startup), and
  * hot paths never allocate — indexed memory ops collect their element
  * addresses into the reusable addrScratch_ member instead of a
  * per-call std::vector. Timing emission is identical whichever

@@ -2,10 +2,10 @@
  * @file
  * Regression tests for the command-line and environment input
  * boundaries: negative numeric values must bind as option values (not
- * become flags), unknown option names and malformed numeric input must
- * be one usage error instead of silently falling back to a default,
- * and the bench binaries' QZ_BENCH_SCALE/QZ_BENCH_THREADS knobs must
- * be parsed as strictly.
+ * become flags), unknown option names, stray positional arguments and
+ * malformed numeric input must be one usage error instead of silently
+ * falling back to a default, and the bench binaries' QZ_BENCH_SCALE/
+ * QZ_BENCH_THREADS knobs must be parsed as strictly.
  */
 #include <gtest/gtest.h>
 
@@ -41,12 +41,13 @@ class Argv
 
 /** Parse with the option names the tests below use. */
 Args
-parse(std::vector<std::string> args)
+parse(std::vector<std::string> args, std::size_t maxPositional = 1)
 {
     Argv argv(std::move(args));
     return Args(argv.argc(), argv.argv(),
                 {"bias", "big", "cigar", "rate", "ssthreshold", "threads",
-                 "variant", "verbose"});
+                 "variant", "verbose"},
+                maxPositional);
 }
 
 TEST(Cli, LooksLikeNumberClassifiesLiterals)
@@ -128,7 +129,7 @@ TEST(Cli, OutOfRangeIntegerIsFatal)
 TEST(Cli, HelpNeedsNoDeclaration)
 {
     Argv argv({"--help", "--count", "25"});
-    const Args args(argv.argc(), argv.argv(), {"count"});
+    const Args args(argv.argc(), argv.argv(), {"count"}, 0);
     EXPECT_TRUE(args.has("help"));
     EXPECT_EQ(args.getInt("count", 100), 25);
 }
@@ -142,7 +143,7 @@ TEST(Cli, UsageErrorsPrintOnceAndExitTwo)
     auto tool = [](std::vector<std::string> args) {
         try {
             Argv argv(std::move(args));
-            const Args parsed(argv.argc(), argv.argv(), {"count"});
+            const Args parsed(argv.argc(), argv.argv(), {"count"}, 1);
             parsed.getInt("count", 1);
             fatal("no work for {}", "this tool");
         } catch (const std::exception &e) {
@@ -161,6 +162,38 @@ TEST(Cli, UsageErrorsPrintOnceAndExitTwo)
     EXPECT_EQ(tool({"--count", "3"}), 1);
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
               "fatal: no work for this tool\n");
+    // Regression: "qz_align pairs.txt -threads 4" ran with one thread
+    // and exited 0, reading "-threads" and "4" as unused positionals.
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(tool({"pairs.txt", "-threads", "4"}), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: unknown option -threads (valid: --count --help)\n");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(tool({"pairs.txt", "extra.txt"}), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: unexpected argument 'extra.txt' (at most 1 "
+              "positional argument(s) accepted)\n");
+}
+
+TEST(Cli, PositionalCountIsBounded)
+{
+    EXPECT_THROW(parse({"a.txt", "b.txt"}), UsageError);
+    EXPECT_THROW(parse({"a.txt"}, 0), UsageError);
+    // A number is a positional too, and counts against the bound.
+    EXPECT_THROW(parse({"a.txt", "-5"}), UsageError);
+    EXPECT_TRUE(parse({"--threads", "4"}, 0).positional().empty());
+    const Args any = parse({"a.json", "b.json", "c.json"}, kAnyPositional);
+    EXPECT_EQ(any.positional().size(), 3u);
+}
+
+TEST(Cli, SingleDashNameIsAnUnknownOption)
+{
+    EXPECT_THROW(parse({"-threads", "4"}), UsageError);
+    EXPECT_THROW(parse({"pairs.txt", "-v"}), UsageError);
+    // A lone "-" names stdin and stays a positional.
+    const Args stdinArgs = parse({"-"});
+    ASSERT_EQ(stdinArgs.positional().size(), 1u);
+    EXPECT_EQ(stdinArgs.positional().front(), "-");
 }
 
 TEST(Cli, WellFormedValuesStillParse)

@@ -2,25 +2,29 @@
  * @file
  * Host-SIMD backend equivalence tests.
  *
- * The scalar HostSimdOps table is the reference model; the AVX2 and
- * AVX-512 tables must be drop-in replacements, bit for bit, or the
- * "simulated metrics are backend-independent" invariant dies in some
+ * The scalar HostSimdOps table is the reference model; the AVX-512
+ * table must be a drop-in replacement, bit for bit, or the "simulated
+ * metrics are backend-independent" invariant dies in some
  * data-dependent corner. Randomized lockstep drives every kernel of
- * every table this build compiled in (and this CPU supports) against
- * the scalar table over adversarial inputs — equal registers, all-zero
- * and all-one lanes, degenerate masks, unaligned sources — plus
- * explicit boundary checks of the scalar reference itself (the SIMD
- * tables then inherit them through lockstep). On a scalar-only build
- * (QZ_HOST_SIMD=scalar, or a host without AVX) the lockstep loops see
- * an empty table list and the reference checks still run, so the test
- * compiles and passes everywhere.
+ * the AVX-512 table (when this build compiled it in and this CPU
+ * supports it) against the scalar table over adversarial inputs —
+ * equal registers, all-zero and all-one lanes, degenerate masks,
+ * unaligned sources — plus explicit boundary checks of the scalar
+ * reference itself (the SIMD table then inherits them through
+ * lockstep). On a host without AVX-512, or a compiler without the
+ * flags, the lockstep loops see an empty table list and the
+ * reference checks still run, so the test compiles and passes
+ * everywhere. The dispatch tests check which table QZ_HOST_SIMD
+ * resolves to and that an unknown value is one fatal error.
  */
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "isa/hostsimd.hpp"
@@ -33,13 +37,11 @@ using W = HostSimdOps::W;
 constexpr unsigned kL64 = 8;
 constexpr unsigned kL32 = 16;
 
-/** Every compiled-in, CPU-supported table other than the reference. */
+/** The compiled-in, CPU-supported table other than the reference. */
 std::vector<const HostSimdOps *>
 simdTables()
 {
     std::vector<const HostSimdOps *> tables;
-    if (const HostSimdOps *avx2 = hostSimdAvx2Ops())
-        tables.push_back(avx2);
     if (const HostSimdOps *avx512 = hostSimdAvx512Ops())
         tables.push_back(avx512);
     return tables;
@@ -459,22 +461,42 @@ TEST(HostSimdReference, ShiftBoundaries)
 TEST(HostSimdDispatch, ResolvedBackendIsACompiledTable)
 {
     const HostSimdOps &active = hostSimd();
-    EXPECT_NE(nullptr, active.name);
+    ASSERT_NE(nullptr, active.name);
     const std::string name = active.name;
-    EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "avx512")
-        << "unexpected backend " << name;
-    // Whatever was resolved must be one of the tables this build owns.
-    const bool isScalar = &active == &hostSimdScalarOps();
-    const bool isAvx2 = hostSimdAvx2Ops() && &active == hostSimdAvx2Ops();
-    const bool isAvx512 =
-        hostSimdAvx512Ops() && &active == hostSimdAvx512Ops();
-    EXPECT_TRUE(isScalar || isAvx2 || isAvx512);
+    // QZ_HOST_SIMD=scalar forces the reference; auto (or unset) takes
+    // the AVX-512 table exactly when this build and CPU have it.
+    const char *env = std::getenv("QZ_HOST_SIMD");
+    const bool forceScalar = env && std::string(env) == "scalar";
+    const HostSimdOps *avx512 = hostSimdAvx512Ops();
+    const HostSimdOps &expected =
+        (!forceScalar && avx512) ? *avx512 : hostSimdScalarOps();
+    EXPECT_EQ(&expected, &active) << "resolved " << name;
+    EXPECT_EQ(std::string(expected.name), name);
     ASSERT_NE(nullptr, hostSimdCompiler());
     ASSERT_NE(nullptr, hostSimdBuildFlags());
-    // One line for logs (CI prints it for each backend leg).
+    // One line for logs (CI prints it after each ctest run).
     std::cout << "resolved host-SIMD backend: " << name
               << " | compiler: " << hostSimdCompiler()
               << " | build: " << hostSimdBuildFlags() << "\n";
+}
+
+TEST(HostSimdDispatch, UnknownEnvValueIsOneFatalLine)
+{
+    // The table is resolved once per process, so the check runs in a
+    // freshly started copy of this binary. Regression: an unknown
+    // value used to mean "auto" in silence.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"avx2", "avx512", "AUTO", "sse"}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("QZ_HOST_SIMD", bad, 1);
+                hostSimd();
+            },
+            testing::ExitedWithCode(2),
+            "^fatal: QZ_HOST_SIMD='[A-Za-z0-9]+' is not a backend "
+            "\\(expected auto\\|scalar\\)\n$")
+            << bad;
+    }
 }
 
 } // namespace

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstddef>
 #include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -107,18 +109,30 @@ reportError(const std::exception &error)
     return dynamic_cast<const UsageError *>(&error) ? 2 : 1;
 }
 
+/** Args' positional bound for a tool that takes any number of them. */
+inline constexpr std::size_t kAnyPositional =
+    std::numeric_limits<std::size_t>::max();
+
 /** Parsed "--key value" options plus positional arguments. */
 class Args
 {
   public:
     /**
-     * @param accepted the option names (without "--") the tool reads;
-     *                 "help" is always accepted. Any other "--name" is
-     *                 a UsageError listing the valid names, so a
-     *                 mistyped flag never falls back to a default.
+     * @param accepted      the option names (without "--") the tool
+     *                      reads; "help" is always accepted. Any other
+     *                      "--name", and any "-name" that is not a
+     *                      number, is a UsageError listing the valid
+     *                      names, so a mistyped flag never falls back
+     *                      to a default.
+     * @param maxPositional the most positional arguments the tool
+     *                      reads (kAnyPositional for no bound); one
+     *                      more is a UsageError instead of being
+     *                      silently ignored. A lone "-" (stdin) is a
+     *                      positional.
      */
     Args(int argc, char **argv,
-         std::initializer_list<std::string_view> accepted)
+         std::initializer_list<std::string_view> accepted,
+         std::size_t maxPositional)
     {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
@@ -127,7 +141,7 @@ class Args
                 if (key != "help" &&
                     std::find(accepted.begin(), accepted.end(), key) ==
                         accepted.end())
-                    unknownOption(key, accepted);
+                    unknownOption(arg, accepted);
                 // The next argv is this option's value unless it is
                 // itself an option. A leading '-' only disqualifies it
                 // when it isn't a number: "--ssthreshold -5" must bind
@@ -142,7 +156,19 @@ class Args
                     options_.insert_or_assign(key,
                                               std::string("1")); // flag
                 }
+            } else if (arg.size() > 1 && arg[0] == '-' &&
+                       !looksLikeNumber(arg)) {
+                // "-threads 4" is a mistyped option, not two inputs.
+                unknownOption(arg, accepted);
             } else {
+                if (positional_.size() == maxPositional)
+                    usageError("unexpected argument '{}' ({} accepted)",
+                               arg,
+                               maxPositional == 0
+                                   ? std::string("no positional arguments")
+                                   : qformat("at most {} positional "
+                                             "argument(s)",
+                                             maxPositional));
                 positional_.push_back(std::move(arg));
             }
         }
@@ -210,7 +236,7 @@ class Args
 
   private:
     [[noreturn]] static void
-    unknownOption(const std::string &key,
+    unknownOption(const std::string &arg,
                   std::initializer_list<std::string_view> accepted)
     {
         std::vector<std::string_view> names(accepted);
@@ -219,7 +245,7 @@ class Args
         std::string valid;
         for (const std::string_view name : names)
             valid += qformat("{}--{}", valid.empty() ? "" : " ", name);
-        usageError("unknown option --{} (valid: {})", key, valid);
+        usageError("unknown option {} (valid: {})", arg, valid);
     }
 
     std::map<std::string, std::string> options_;

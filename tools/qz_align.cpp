@@ -82,7 +82,8 @@ main(int argc, char **argv)
             argc, argv,
             {"algo", "checkpoint", "cigar", "e", "json", "lag", "list",
              "maxlen", "o", "protein", "sam", "serve", "shard", "store",
-             "threads", "variant", "window", "x"});
+             "threads", "variant", "window", "x"},
+            1);
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;

@@ -31,7 +31,8 @@ main(int argc, char **argv)
         const cli::Args args(
             argc, argv,
             {"count", "dataset", "error", "fasta", "length", "out", "scale",
-             "seed", "store"});
+             "seed", "store"},
+            0);
         if (args.has("help")) {
             std::cout
                 << "qz-datagen: generate pattern/text pair workloads\n"

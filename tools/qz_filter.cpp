@@ -37,7 +37,8 @@ main(int argc, char **argv)
         const cli::Args args(
             argc, argv,
             {"accepted", "checkpoint", "filter", "list", "serve", "shard",
-             "store", "threads", "threshold", "variant", "verbose"});
+             "store", "threads", "threshold", "variant", "verbose"},
+            1);
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;

@@ -44,7 +44,7 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(argc, argv, {"out"});
+        const cli::Args args(argc, argv, {"out"}, cli::kAnyPositional);
         if (args.has("help") || args.positional().empty()) {
             std::cout
                 << "qz-merge SHARD.json... [options]\n"

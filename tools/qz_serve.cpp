@@ -77,7 +77,8 @@ main(int argc, char **argv)
         const cli::Args args(
             argc, argv,
             {"check", "deadline", "list", "out", "queue", "quiet", "retries",
-             "shed", "worker", "workers"});
+             "shed", "worker", "workers"},
+            1);
 
         // Internal entry point: this process was fork/exec'd as a
         // pool worker and speaks frames on stdin/stdout. Re-point
