@@ -22,13 +22,16 @@
  *                     qz-merge can reassemble the unsharded output
  *                     byte-identically (docs/SIMULATOR.md)
  *  - QZ_BENCH_LIST    =1: print every registered workload with its
- *                     variants/datasets and exit
+ *                     variants/datasets and exit; unset, empty or 0
+ *                     runs the bench
  *
- * A malformed or non-positive QZ_BENCH_SCALE/QZ_BENCH_THREADS is a
- * fatal error, never a silent default: every main() runs its body
- * through runMain(), which prints the error once and exits 1. These
- * binaries report simulated metrics; host throughput is measured by
- * the benchmark (python3 qzbench/run.py, see qzbench/NOTES.md).
+ * A malformed or non-positive QZ_BENCH_SCALE/QZ_BENCH_THREADS, a
+ * QZ_BENCH_LIST other than 0/1, or a QZ_BENCH_JSON path that cannot
+ * be written is a fatal error, never a silent default: every main()
+ * runs its body through runMain(), which prints the error once and
+ * exits 1. These binaries report simulated metrics; host throughput
+ * is measured by the benchmark (python3 qzbench/run.py, see
+ * qzbench/NOTES.md).
  */
 #ifndef QUETZAL_BENCH_BENCH_COMMON_HPP
 #define QUETZAL_BENCH_BENCH_COMMON_HPP
@@ -42,6 +45,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algos/batch.hpp"
@@ -106,12 +110,22 @@ benchThreads()
     return static_cast<unsigned>(n);
 }
 
+/** QZ_BENCH_LIST: unset, empty or "0" runs the bench, "1" lists. */
+inline bool
+benchList()
+{
+    const char *env = std::getenv("QZ_BENCH_LIST");
+    const std::string_view value = env ? env : "";
+    fatal_if(value != "" && value != "0" && value != "1",
+             "QZ_BENCH_LIST='{}' is not 0 or 1", value);
+    return value == "1";
+}
+
 /** Print the experiment banner with the Table I system summary. */
 inline void
 banner(const std::string &title)
 {
-    if (const char *env = std::getenv("QZ_BENCH_LIST"); env && *env &&
-                                                        std::string_view(env) != "0") {
+    if (benchList()) {
         std::cout << algos::workloadListing();
         std::exit(0);
     }
@@ -337,11 +351,11 @@ maybeWriteJson(const std::string &benchName,
         return;
     }
     std::ofstream out(env);
-    if (!out) {
-        warn("cannot open QZ_BENCH_JSON path '{}' for writing", env);
-        return;
-    }
+    fatal_if(!out, "cannot open QZ_BENCH_JSON path '{}' for writing",
+             env);
     out << json << "\n";
+    out.close();
+    fatal_if(!out, "cannot write QZ_BENCH_JSON path '{}'", env);
     std::cout << "wrote JSON results to " << env << "\n";
 }
 

@@ -8,7 +8,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <map>
+#include <ctime>
+#include <deque>
 #include <mutex>
 
 #include "common/logging.hpp"
@@ -127,6 +128,75 @@ packs2bit(std::string_view seq, AlphabetKind kind)
             return false;
     }
     return true;
+}
+
+/**
+ * What a verified checksum vouches for: the file as fstat() saw it on
+ * the open's own fd, plus the checksum its header claims. Any write
+ * to the file moves its ctime, so a rewrite is a new identity.
+ */
+struct FileIdentity
+{
+    dev_t dev;
+    ino_t ino;
+    off_t size;
+    std::int64_t mtimeNs;
+    std::int64_t ctimeNs;
+    std::uint64_t checksum;
+
+    bool operator==(const FileIdentity &) const = default;
+};
+
+std::int64_t
+toNs(const timespec &ts)
+{
+    return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
+           ts.tv_nsec;
+}
+
+/**
+ * The last kVerifiedFiles identities whose checksum this process has
+ * verified (FIFO), so reopening one skips the O(file) hash.
+ */
+class VerifiedFiles
+{
+  public:
+    bool
+    contains(const FileIdentity &identity)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return std::find(files_.begin(), files_.end(), identity) !=
+               files_.end();
+    }
+
+    /**
+     * Remember @p identity, verified from @p verifyStartNs on. A ctime
+     * under ~1 s older than that is racy (git's index rule): a rewrite
+     * inside the same coarse timestamp tick could keep the identity,
+     * so such a file is verified again on every open until it ages.
+     */
+    void
+    add(const FileIdentity &identity, std::int64_t verifyStartNs)
+    {
+        if (verifyStartNs - identity.ctimeNs < 1'000'000'000)
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (files_.size() == kVerifiedFiles)
+            files_.pop_front();
+        files_.push_back(identity);
+    }
+
+  private:
+    static constexpr std::size_t kVerifiedFiles = 64;
+    std::mutex mutex_;
+    std::deque<FileIdentity> files_;
+};
+
+VerifiedFiles &
+verifiedFiles()
+{
+    static VerifiedFiles files;
+    return files;
 }
 
 /** Serialize the header; @p headerBytes is the name-padded size. */
@@ -352,7 +422,12 @@ ReadStore::open(const std::string &path,
         // mmap failure is not an error: fall through to pread.
     }
 
-    if (options.verifyChecksum) {
+    const FileIdentity identity{st.st_dev,        st.st_ino,
+                                st.st_size,       toNs(st.st_mtim),
+                                toNs(st.st_ctim), store->checksum_};
+    if (options.verifyChecksum && !verifiedFiles().contains(identity)) {
+        timespec start{};
+        ::clock_gettime(CLOCK_REALTIME, &start);
         // Stream the verification with pread so it never inflates
         // RSS, even in mmap mode.
         std::uint64_t hash = kFnvOffset;
@@ -374,6 +449,7 @@ ReadStore::open(const std::string &path,
                  "store '{}' failed its content checksum "
                  "(corrupted or torn write)",
                  path);
+        verifiedFiles().add(identity, toNs(start));
     }
     return store;
 }
@@ -633,15 +709,7 @@ openStoreSource(const StoreTarget &target)
 std::shared_ptr<const ReadStore>
 openStoreShared(const std::string &path)
 {
-    static std::mutex mutex;
-    static std::map<std::string, std::weak_ptr<const ReadStore>>
-        cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (auto cached = cache[path].lock())
-        return cached;
-    auto store = ReadStore::open(path);
-    cache[path] = store;
-    return store;
+    return ReadStore::open(path);
 }
 
 } // namespace quetzal::genomics

@@ -109,7 +109,15 @@ class StoreWriter
 
 struct StoreOpenOptions
 {
-    /** Verify the FNV-1a content checksum (streamed, O(file)). */
+    /**
+     * Verify the FNV-1a content checksum (streamed, O(file)). Done
+     * once per process per file identity (device, inode, size, mtime,
+     * ctime, header checksum, taken from fstat() on the open's own
+     * fd): a later open of the same identity skips the hash, and a
+     * rewritten file is a new identity, so it is verified again. A
+     * file changed under ~1 s before its verification is not
+     * remembered, and an open with this off remembers nothing.
+     */
     bool verifyChecksum = true;
     /** Force the pread() fallback even where mmap is available. */
     bool disableMmap = false;
@@ -281,10 +289,11 @@ StoreTarget parseStoreTarget(std::string_view target);
 std::unique_ptr<PairSource> openStoreSource(const StoreTarget &target);
 
 /**
- * Process-wide cache of opened stores, keyed by path: repeated opens
- * (qz-serve workers serving many requests against one store) reuse
- * the mapping and skip re-verifying the checksum. Entries are weak —
- * a store closes when its last user drops it.
+ * ReadStore::open(@p path) with default options. Each call maps the
+ * file afresh, so RSS stays flat across many short users (qz-serve
+ * workers serving one store range per request); the checksum is
+ * verified once per process per file identity, and a rewrite is
+ * verified again (StoreOpenOptions::verifyChecksum).
  */
 std::shared_ptr<const ReadStore>
 openStoreShared(const std::string &path);

@@ -295,9 +295,11 @@ responseFromJson(const JsonValue &json)
 namespace {
 
 /**
- * Streaming source over the store range a request addresses. Open
- * stores are cached per process (openStoreShared), so a worker
- * serving many ranges of one store maps and checksums it once.
+ * Streaming source over the store range a request addresses. Each
+ * request maps the store afresh; its checksum is hashed once per
+ * process per file identity (openStoreShared), so a worker serving
+ * many ranges of one unchanged store hashes it once, and a rewritten
+ * store is hashed again before it is served.
  */
 genomics::StorePairSource
 storeSourceFor(const ServeRequest &request)

@@ -97,12 +97,12 @@ class FrameDecoder
  * One alignment request: a registry workload against a named catalog
  * dataset (makeDataset(dataset, scale)), inline pairs, or a range of
  * an indexed on-disk read store (store/storeFrom/storeTo; workers
- * stream the range at bounded memory and cache open stores per
- * process). @c attempt is owned by the dispatching service — it counts
- * deliveries of this request to a worker, and is what the
- * fault-injection gate in the worker compares against
- * FaultInjection::times, so a crash injected "once" fires on the
- * first delivery and not on the post-respawn retry.
+ * stream the range at bounded memory and verify a store's checksum
+ * once per process per file identity). @c attempt is owned by the
+ * dispatching service — it counts deliveries of this request to a
+ * worker, and is what the fault-injection gate in the worker compares
+ * against FaultInjection::times, so a crash injected "once" fires on
+ * the first delivery and not on the post-respawn retry.
  */
 struct ServeRequest
 {

@@ -3,8 +3,9 @@
  * Unit tests for the qz-serve alignment service: pipe framing,
  * request/response wire schema, and the self-healing worker pool —
  * crash respawn without queue loss, deadline kills of hung workers,
- * admission-control shedding, graceful stop, and byte-identity of
- * served results against direct in-process / BatchRunner runs.
+ * admission-control shedding, graceful stop, byte-identity of served
+ * results against direct in-process / BatchRunner runs, and store-range
+ * requests that follow a store rewritten on disk.
  *
  * Every pool test runs in fork-only mode (empty workerCommand), so
  * the worker is this test binary's forked image running workerMain()
@@ -12,9 +13,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -22,6 +27,7 @@
 #include "algos/batch.hpp"
 #include "algos/report.hpp"
 #include "genomics/readsim.hpp"
+#include "genomics/store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -79,6 +85,30 @@ tinyRequest(std::uint64_t id, const std::string &workload = "WFA",
     if (workload == "SS")
         request.ssThreshold = 5;
     request.pairs = tinyPairs(40, 3, 7 + id);
+    return request;
+}
+
+void
+writeStore(const std::string &path,
+           const std::vector<genomics::SequencePair> &pairs)
+{
+    genomics::StoreWriter writer(path, genomics::StoreProvenance{});
+    for (const auto &pair : pairs)
+        writer.add(pair);
+    writer.finish();
+}
+
+/** A request for the store pairs [from, to) at @p path. */
+serve::ServeRequest
+storeRequest(std::uint64_t id, const std::string &path,
+             std::size_t from, std::size_t to)
+{
+    serve::ServeRequest request;
+    request.id = id;
+    request.workload = "WFA";
+    request.store = path;
+    request.storeFrom = from;
+    request.storeTo = to;
     return request;
 }
 
@@ -515,6 +545,73 @@ TEST(ServePool, GracefulStopFinishesInFlightAndShedsTheQueue)
     EXPECT_EQ(responses.back().status,
               serve::ResponseStatus::Shutdown);
     service.shutdown();
+}
+
+TEST(ServePool, StoreRangesFollowTheStoreOnDisk)
+{
+    const std::string path = ::testing::TempDir() + "serve_store.qzs";
+    writeStore(path, tinyPairs(60, 24, 11));
+    // Age the store past the racy-timestamp window, so the workers
+    // remember having verified it: a rewrite must still be seen.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+
+    serve::ServeConfig config;
+    config.workers = 2;
+    ServeRun run;
+    serve::AlignService service(
+        config, [&](const serve::ServeResponse &response) {
+            run.responses.push_back(response);
+        });
+    const auto serveRanges = [&](std::uint64_t firstId) {
+        run.responses.clear();
+        std::vector<serve::ServeRequest> requests;
+        for (std::uint64_t k = 0; k < 4; ++k)
+            requests.push_back(
+                storeRequest(firstId + k, path, 6 * k, 6 * k + 6));
+        service.serveAll(requests);
+        std::vector<std::string> served;
+        EXPECT_EQ(run.responses.size(), requests.size());
+        for (const auto &request : requests) {
+            const auto *response = run.byId(request.id);
+            if (response == nullptr || !response->result) {
+                ADD_FAILURE() << "request " << request.id
+                              << " was not served";
+                continue;
+            }
+            served.push_back(algos::toJson(*response->result));
+            EXPECT_EQ(served.back(),
+                      algos::toJson(
+                          serve::runRequestInProcess(request)));
+        }
+        return served;
+    };
+
+    const auto before = serveRanges(0);
+    writeStore(path, tinyPairs(60, 24, 12));
+    const auto after = serveRanges(10);
+    EXPECT_NE(after, before);
+
+    // A corrupted rewrite is a structured error, never a stale result.
+    writeStore(path, tinyPairs(60, 24, 13));
+    {
+        std::fstream file(path, std::ios::in | std::ios::out |
+                                    std::ios::binary);
+        file.seekg(120); // past the ~104-byte header: payload
+        const char byte = static_cast<char>(file.get() ^ 0x5a);
+        file.seekp(120);
+        file.put(byte);
+    }
+    run.responses.clear();
+    service.serveAll({storeRequest(20, path, 0, 6)});
+    ASSERT_EQ(run.responses.size(), 1u);
+    const serve::ServeResponse &corrupt = run.responses.front();
+    EXPECT_EQ(corrupt.status, serve::ResponseStatus::Error);
+    EXPECT_EQ(corrupt.kind, algos::FailureKind::Fatal);
+    EXPECT_NE(corrupt.message.find("checksum"), std::string::npos)
+        << corrupt.message;
+    service.shutdown();
+    EXPECT_EQ(service.stats().respawns, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(ServePool, RoundTripCheckMatchesInProcessRun)

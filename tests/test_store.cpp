@@ -3,16 +3,22 @@
  * Tests for the indexed on-disk read store (docs/STORE.md): 2-bit
  * pack/unpack round trips (with the raw escape for 'N' and protein),
  * header/checksum rejection of truncated or corrupted files, slice
- * boundary behavior, mmap-vs-pread equality, and the tentpole safety
+ * boundary behavior, mmap-vs-pread equality, the tentpole safety
  * invariant — store-backed sweeps report byte-identically to in-RAM
- * sweeps, unsharded and through a 3-shard merge.
+ * sweeps, unsharded and through a 3-shard merge — and the
+ * once-per-file-identity checksum: a reopened store is not hashed
+ * again, while a rewritten or corrupted one always is.
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/batch.hpp"
@@ -405,6 +411,179 @@ TEST(Store, CellIdentityMatchesAcrossIntakeModes)
               algos::cellHash("WFA", dataset, options));
     EXPECT_EQ(algos::cellHash("WFA", viaRam, options),
               algos::cellHash("WFA", dataset, options));
+}
+
+/** Bytes this process has read through read()/pread() so far. */
+std::optional<std::uint64_t>
+bytesRead()
+{
+    std::ifstream io("/proc/self/io");
+    std::string key;
+    std::uint64_t value = 0;
+    while (io >> key >> value)
+        if (key == "rchar:")
+            return value;
+    return std::nullopt;
+}
+
+/** Every pair of @p store, decoded. */
+std::vector<SequencePair>
+decodeAll(const ReadStore &store)
+{
+    std::vector<SequencePair> pairs;
+    for (std::size_t i = 0; i < store.size(); ++i)
+        pairs.push_back(store.pair(i));
+    return pairs;
+}
+
+void
+expectSamePairs(const std::vector<SequencePair> &got,
+                const std::vector<SequencePair> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].pattern, want[i].pattern) << "pair " << i;
+        EXPECT_EQ(got[i].text, want[i].text) << "pair " << i;
+        EXPECT_EQ(got[i].trueEdits, want[i].trueEdits) << "pair " << i;
+    }
+}
+
+/** mixedPairs() repeated until the store spans tens of KiB. */
+std::vector<SequencePair>
+manyPairs()
+{
+    std::vector<SequencePair> pairs;
+    for (int copy = 0; copy < 300; ++copy)
+        for (const auto &pair : mixedPairs())
+            pairs.push_back(pair);
+    return pairs;
+}
+
+/**
+ * @p pairs with every DNA base shifted A->C->G->T->A ('N', RNA and
+ * protein untouched), so the store keeps its byte size.
+ */
+std::vector<SequencePair>
+shiftedBases(std::vector<SequencePair> pairs)
+{
+    const auto shift = [](std::string &seq) {
+        for (char &c : seq)
+            c = c == 'A' ? 'C' : c == 'C' ? 'G' : c == 'G' ? 'T'
+                : c == 'T' ? 'A' : c;
+    };
+    for (auto &pair : pairs) {
+        if (pair.alphabet != AlphabetKind::Dna)
+            continue;
+        shift(pair.pattern);
+        shift(pair.text);
+    }
+    return pairs;
+}
+
+/**
+ * Stores whose ctime is over a second old when the tests open them,
+ * so a verifying open may remember their identity: otherwise the
+ * racy-timestamp rule alone would force every reopen to hash, and
+ * these tests could not tell a correct memo from a wrong one.
+ */
+class StoreReopen : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        for (const char *name : {"twice", "rewrite", "corrupt"})
+            writeStore(path(name), manyPairs());
+        writeStore(path("lax"), manyPairs());
+        corruptByte(path("lax"), 120);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        for (const char *name : {"twice", "rewrite", "corrupt", "lax"})
+            std::remove(path(name).c_str());
+    }
+
+    static std::string
+    path(const std::string &name)
+    {
+        return ::testing::TempDir() + "store_reopen_" + name + ".qzs";
+    }
+};
+
+TEST_F(StoreReopen, UnchangedStoreOpenedTwiceDecodesIdentically)
+{
+    const std::string twice = path("twice");
+    const auto before = bytesRead();
+    const auto first = ReadStore::open(twice);
+    const auto between = bytesRead();
+    const auto second = ReadStore::open(twice);
+    const auto after = bytesRead();
+
+    EXPECT_EQ(second->checksum(), first->checksum());
+    expectSamePairs(decodeAll(*second), decodeAll(*first));
+    expectSamePairs(decodeAll(*second), manyPairs());
+
+    if (!before || !between || !after)
+        GTEST_SKIP() << "no /proc/self/io: cannot see the hash reads";
+    const std::uint64_t fileBytes = std::filesystem::file_size(twice);
+    ASSERT_GT(fileBytes, 16u * 1024);
+    // The first open hashes the whole file through pread(); the
+    // second reads only the header.
+    EXPECT_GE(*between - *before, fileBytes / 2);
+    EXPECT_LT(*after - *between, 4096u);
+}
+
+TEST_F(StoreReopen, RewriteAtSamePathDecodesTheNewPairs)
+{
+    const std::string rewrite = path("rewrite");
+    const std::uint64_t oldBytes = std::filesystem::file_size(rewrite);
+    expectSamePairs(decodeAll(*ReadStore::open(rewrite)), manyPairs());
+
+    const auto newPairs = shiftedBases(manyPairs());
+    ASSERT_NE(newPairs.front().pattern, manyPairs().front().pattern);
+    writeStore(rewrite, newPairs);
+    ASSERT_EQ(std::filesystem::file_size(rewrite), oldBytes);
+    expectSamePairs(decodeAll(*ReadStore::open(rewrite)), newPairs);
+}
+
+TEST_F(StoreReopen, VerifiedStoreCorruptedInPlaceIsRejected)
+{
+    const std::string corrupt = path("corrupt");
+    EXPECT_NO_THROW(ReadStore::open(corrupt));
+    corruptByte(corrupt, 120);
+    EXPECT_THROW(ReadStore::open(corrupt), FatalError);
+}
+
+TEST_F(StoreReopen, UnverifiedOpenLeavesCorruptionDetectable)
+{
+    genomics::StoreOpenOptions lax;
+    lax.verifyChecksum = false;
+    EXPECT_NO_THROW(ReadStore::open(path("lax"), lax));
+    EXPECT_THROW(ReadStore::open(path("lax")), FatalError);
+}
+
+TEST(Store, FreshStoreIsHashedOnEveryOpen)
+{
+    // A file changed under ~1 s before its hash could be rewritten in
+    // the same timestamp tick and keep its identity, so it is not
+    // remembered: each open hashes it again, and corruption landing
+    // right after a verifying open is caught.
+    ScopedPath path("store_fresh.qzs");
+    writeStore(path.str(), manyPairs());
+    EXPECT_NO_THROW(ReadStore::open(path.str()));
+    const auto before = bytesRead();
+    EXPECT_NO_THROW(ReadStore::open(path.str()));
+    const auto after = bytesRead();
+    corruptByte(path.str(), 120);
+    EXPECT_THROW(ReadStore::open(path.str()), FatalError);
+
+    if (!before || !after)
+        GTEST_SKIP() << "no /proc/self/io: cannot see the hash reads";
+    EXPECT_GE(*after - *before,
+              std::filesystem::file_size(path.str()) / 2);
 }
 
 } // namespace
