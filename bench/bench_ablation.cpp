@@ -34,13 +34,13 @@ longRead(std::size_t length, double error, std::uint64_t seed)
 }
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::Variant;
-    bench::banner("Ablations: encoding width and tiling window");
+    bench::banner("Ablations: encoding width and tiling window", settings);
 
-    const double scale = bench::benchScale();
+    const double scale = settings.scale;
 
     // ---- 1. 2-bit vs 8-bit encoding on DNA (WFA, QUETZAL+C) -------
     {
@@ -148,7 +148,7 @@ runBench()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

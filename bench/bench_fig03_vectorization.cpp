@@ -13,17 +13,17 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
-    bench::banner("Fig. 3: VEC speedup over the scalar baseline");
+    bench::banner("Fig. 3: VEC speedup over the scalar baseline", settings);
 
     TextTable table({"Algorithm", "Dataset", "BASE cycles",
                      "VEC cycles", "VEC speedup"});
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -35,7 +35,7 @@ runBench()
     for (const AlgoKind kind :
          {AlgoKind::Wfa, AlgoKind::SneakySnake}) {
         for (const auto &spec : genomics::datasetCatalog()) {
-            const auto ds = bench::makeDatasetPtr(spec.name);
+            const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
             Row row{kind, spec.name, spec.longRead, 0, 0};
             row.base = batch.add(kind, ds, Variant::Base);
             row.vec = batch.add(kind, ds, Variant::Vec);
@@ -71,14 +71,14 @@ runBench()
               << TextTable::num(shortGeo, 2) << "x (paper ~1.3x), "
               << "long reads " << TextTable::num(longGeo, 2)
               << "x (paper ~2.5x)\n";
-    bench::maybeWriteJson("fig03_vectorization", batch.outcome());
+    bench::maybeWriteJson("fig03_vectorization", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -10,18 +10,18 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 4: execution-time breakdown of VEC "
-                  "implementations");
+                  "implementations", settings);
 
     TextTable table({"Algorithm", "Dataset", "Cycles", "Frontend",
                      "Compute", "Cache access", "RS/LSQ stall"});
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -32,7 +32,7 @@ runBench()
     for (const AlgoKind kind :
          {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
         for (const auto &spec : genomics::datasetCatalog()) {
-            const auto ds = bench::makeDatasetPtr(spec.name);
+            const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
             rows.push_back(
                 {kind, spec.name, batch.add(kind, ds, Variant::Vec)});
         }
@@ -57,14 +57,14 @@ runBench()
     table.print(std::cout);
     std::cout << "\nPaper: cache accesses are 32%-65% of execution "
                  "time, growing with sequence length.\n";
-    bench::maybeWriteJson("fig04_breakdown", batch.outcome());
+    bench::maybeWriteJson("fig04_breakdown", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

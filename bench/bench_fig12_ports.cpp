@@ -8,19 +8,19 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 12: QBUFFER read-port design-space sweep "
-                  "(QUETZAL+C, normalized to QZ_1P)");
+                  "(QUETZAL+C, normalized to QZ_1P)", settings);
 
     const unsigned ports[] = {1, 2, 4, 8};
     TextTable table({"Algorithm", "Dataset", "QZ_1P", "QZ_2P", "QZ_4P",
                      "QZ_8P"});
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -31,7 +31,7 @@ runBench()
     for (const AlgoKind kind :
          {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
         for (const auto &spec : genomics::datasetCatalog()) {
-            const auto ds = bench::makeDatasetPtr(spec.name);
+            const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
             Row row{kind, spec.name, {}};
             for (int i = 0; i < 4; ++i)
                 row.cell[i] = batch.add(kind, ds, Variant::QzC,
@@ -58,14 +58,14 @@ runBench()
     table.print(std::cout);
     std::cout << "\nPaper: performance rises with port count; QZ_8P "
                  "(2-cycle reads) is the chosen configuration.\n";
-    bench::maybeWriteJson("fig12_ports", batch.outcome());
+    bench::maybeWriteJson("fig12_ports", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -12,12 +12,12 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
-    bench::banner("Fig. 13a: single-core speedup over the baseline");
+    bench::banner("Fig. 13a: single-core speedup over the baseline", settings);
 
     TextTable table({"Algorithm", "Dataset",
                      std::string(algos::variantName(Variant::Vec)),
@@ -26,7 +26,7 @@ runBench()
                      "QZ/VEC", "QZ+C/VEC"});
 
     // Phase 1: queue every cell of the figure on the batch engine.
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -48,7 +48,7 @@ runBench()
 
     const std::size_t classicCap = 1000;
     for (const auto &spec : genomics::datasetCatalog()) {
-        const auto ds = bench::makeDatasetPtr(spec.name);
+        const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
         submit(AlgoKind::Wfa, ds, ~std::size_t{0},
                genomics::AlphabetKind::Dna);
         submit(AlgoKind::BiWfa, ds, ~std::size_t{0},
@@ -63,7 +63,7 @@ runBench()
 
     // Use case 4: protein alignment (8-bit encoding).
     const auto protein = std::make_shared<const genomics::PairDataset>(
-        bench::proteinDataset(bench::benchScale()));
+        bench::proteinDataset(settings.scale));
     submit(AlgoKind::Wfa, protein, ~std::size_t{0},
            genomics::AlphabetKind::Protein);
     submit(AlgoKind::SneakySnake, protein, ~std::size_t{0},
@@ -91,14 +91,14 @@ runBench()
     std::cout << "\nNW is length-capped at " << classicCap
               << " bp (full-table DP; the paper likewise constrained "
                  "datasets for simulation time).\n";
-    bench::maybeWriteJson("fig13a_singlecore", batch.outcome());
+    bench::maybeWriteJson("fig13a_singlecore", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -15,20 +15,20 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 13b: multicore scaling of QUETZAL+C "
-                  "(shared L2 + HBM2 roofline)");
+                  "(shared L2 + HBM2 roofline)", settings);
 
     TextTable table({"Algorithm", "Dataset", "1 core", "2", "4", "8",
                      "16", "DRAM B/cyc @16"});
     const unsigned counts[] = {1, 2, 4, 8, 16};
     constexpr std::size_t numCounts = std::size(counts);
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -41,7 +41,7 @@ runBench()
     for (const AlgoKind kind :
          {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
         for (const auto &spec : genomics::datasetCatalog()) {
-            const auto ds = bench::makeDatasetPtr(spec.name);
+            const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
             Row row{kind, spec.name, {}};
             for (std::size_t i = 0; i < numCounts; ++i) {
                 algos::RunOptions options;
@@ -86,14 +86,14 @@ runBench()
     std::cout << "\nPaper: near-linear for short reads; long reads "
                  "flatten as the shared LLC and HBM2 bandwidth "
                  "saturate.\n";
-    bench::maybeWriteJson("fig13b_multicore", batch.outcome());
+    bench::maybeWriteJson("fig13b_multicore", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -8,13 +8,13 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 14a: cache-hierarchy request reduction "
-                  "(QUETZAL+C vs VEC)");
+                  "(QUETZAL+C vs VEC)", settings);
 
     TextTable table(
         {"Algorithm", "Dataset",
@@ -22,7 +22,7 @@ runBench()
          std::string(algos::variantName(Variant::QzC)) + " requests",
          "Reduction"});
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         AlgoKind kind;
@@ -33,7 +33,7 @@ runBench()
     for (const AlgoKind kind :
          {AlgoKind::Wfa, AlgoKind::BiWfa, AlgoKind::SneakySnake}) {
         for (const auto &spec : genomics::datasetCatalog()) {
-            const auto ds = bench::makeDatasetPtr(spec.name);
+            const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
             rows.push_back({kind, spec.name,
                             batch.add(kind, ds, Variant::Vec),
                             batch.add(kind, ds, Variant::QzC)});
@@ -59,14 +59,14 @@ runBench()
     std::cout << "\nPaper: all input-sequence accesses execute in the "
                  "QBUFFERs; the remaining requests are strided wave "
                  "updates the prefetcher handles.\n";
-    bench::maybeWriteJson("fig14a_memreqs", batch.outcome());
+    bench::maybeWriteJson("fig14a_memreqs", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

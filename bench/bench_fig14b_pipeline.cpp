@@ -11,19 +11,19 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 14b: SS + WFA pipeline, 16 cores "
-                  "(QUETZAL+C vs VEC)");
+                  "(QUETZAL+C vs VEC)", settings);
 
     TextTable table({"Dataset", "Accepted/pairs", "VEC cyc",
                      "QZ+C cyc", "1-core speedup", "16-core speedup"});
     const auto params = sim::SystemParams::withQuetzal();
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         std::string dataset;
@@ -33,7 +33,7 @@ runBench()
     for (const auto &spec : genomics::datasetCatalog()) {
         const auto ds = std::make_shared<const genomics::PairDataset>(
             algos::mixWithDecoys(
-                genomics::makeDataset(spec.name, bench::benchScale())));
+                genomics::makeDataset(spec.name, settings.scale)));
         rows.push_back({spec.name,
                         batch.add(AlgoKind::SsWfa, ds, Variant::Vec),
                         batch.add(AlgoKind::SsWfa, ds, Variant::QzC)});
@@ -60,14 +60,14 @@ runBench()
     table.print(std::cout);
     std::cout << "\nPaper (16 cores): 1.8x, 2.7x, 3.6x, 3.1x across "
                  "the four datasets.\n";
-    bench::maybeWriteJson("fig14b_pipeline", batch.outcome());
+    bench::maybeWriteJson("fig14b_pipeline", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

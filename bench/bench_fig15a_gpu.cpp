@@ -14,13 +14,13 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
     bench::banner("Fig. 15a: 16-core QUETZAL CPU vs GPU approaches "
-                  "(alignments/second)");
+                  "(alignments/second)", settings);
 
     const auto params = sim::SystemParams::withQuetzal();
     const gpu::GpuDeviceParams device;
@@ -31,7 +31,7 @@ runBench()
                      "SW QZ (16c)", "GASAL2", "QZ/WFA-GPU",
                      "QZ-SW/GASAL2"});
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct Row
     {
         std::string dataset;
@@ -41,7 +41,7 @@ runBench()
     };
     std::vector<Row> rows;
     for (const auto &spec : genomics::datasetCatalog()) {
-        const auto ds = bench::makeDatasetPtr(spec.name);
+        const auto ds = bench::makeDatasetPtr(spec.name, settings.scale);
         rows.push_back({spec.name, spec.readLength, spec.errorRate,
                         batch.add(AlgoKind::Wfa, ds, Variant::QzC),
                         batch.add(AlgoKind::Swg, ds, Variant::Qz)});
@@ -80,14 +80,14 @@ runBench()
                  "WFA-GPU, ~1.1x over GASAL2). A40 area ~"
               << TextTable::num(device.areaMm2, 0)
               << " mm^2 (>10x a 16-core QUETZAL CPU slice).\n";
-    bench::maybeWriteJson("fig15a_gpu", batch.outcome());
+    bench::maybeWriteJson("fig15a_gpu", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

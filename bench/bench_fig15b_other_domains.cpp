@@ -22,17 +22,17 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::Variant;
     bench::banner("Fig. 15b: other application domains "
-                  "(QUETZAL vs VEC)");
+                  "(QUETZAL vs VEC)", settings);
 
-    const double scale = bench::benchScale();
+    const double scale = settings.scale;
     const char *kernelNames[] = {"histogram", "spmv"};
 
-    bench::CellBatch batch;
+    bench::CellBatch batch(settings);
     struct KernelRow
     {
         const algos::Workload *workload;
@@ -81,14 +81,14 @@ runBench()
     table.print(std::cout);
     std::cout << "\nPaper: histogram 3.02x, SpMV 1.94x over the "
                  "vectorized kernels.\n";
-    bench::maybeWriteJson("fig15b_other_domains", batch.outcome());
+    bench::maybeWriteJson("fig15b_other_domains", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -18,17 +18,17 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::Variant;
-    bench::banner("Filter study: SneakySnake vs Shouji on QUETZAL");
+    bench::banner("Filter study: SneakySnake vs Shouji on QUETZAL", settings);
 
     TextTable table({"Dataset", "Filter", "Accepted", "QZ+C cycles",
                      "BASE cycles", "Speedup"});
     for (const char *name : {"100bp_1", "250bp_1"}) {
         const auto ds = algos::mixWithDecoys(
-            genomics::makeDataset(name, bench::benchScale()));
+            genomics::makeDataset(name, settings.scale));
         const std::int64_t e = algos::defaultSsThreshold(
             ds.readLength, ds.errorRate);
 
@@ -86,7 +86,7 @@ runBench()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -7,7 +7,7 @@
  */
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
+#include "../tools/cli_common.hpp"
 #include "genomics/encoding.hpp"
 #include "genomics/readsim.hpp"
 #include "quetzal/countalu.hpp"
@@ -86,15 +86,18 @@ BENCHMARK(BM_Pack2bit);
 
 } // namespace
 
+/** Google Benchmark parses its own flags; the bench table is not used. */
 int
 main(int argc, char **argv)
 {
-    return quetzal::bench::runMain([&] {
+    try {
         benchmark::Initialize(&argc, argv);
         if (benchmark::ReportUnrecognizedArguments(argc, argv))
             return 1;
         benchmark::RunSpecifiedBenchmarks();
         benchmark::Shutdown();
         return 0;
-    });
+    } catch (const std::exception &error) {
+        return quetzal::cli::reportError(error);
+    }
 }

@@ -7,16 +7,16 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
-    bench::banner("Table II: input dataset characteristics");
+    bench::banner("Table II: input dataset characteristics", settings);
 
     TextTable table({"Dataset", "Read Length", "Pairs", "Error rate",
                      "Total bases", "Technology class"});
     for (const auto &spec : genomics::datasetCatalog()) {
         const auto ds =
-            genomics::makeDataset(spec.name, bench::benchScale());
+            genomics::makeDataset(spec.name, settings.scale);
         table.addRow({spec.name, std::to_string(spec.readLength),
                       std::to_string(ds.size()),
                       TextTable::num(spec.errorRate, 3),
@@ -26,7 +26,7 @@ runBench()
     }
     table.print(std::cout);
 
-    const auto protein = bench::proteinDataset(bench::benchScale());
+    const auto protein = bench::proteinDataset(settings.scale);
     std::cout << "\nProtein workload (use case 4, BAliBase-style): "
               << protein.size() << " pairwise alignments of ~"
               << protein.readLength << " residues\n";
@@ -36,7 +36,7 @@ runBench()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

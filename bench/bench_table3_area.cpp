@@ -10,11 +10,11 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     bench::banner("Table III: QUETZAL area/power (7nm, analytic model "
-                  "anchored to the paper's place-and-route)");
+                  "anchored to the paper's place-and-route)", settings);
 
     TextTable table({"Config", "Read ports", "Read latency", "Area",
                      "Power", "% of core", "% of SoC"});
@@ -35,7 +35,7 @@ runBench()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -17,16 +17,16 @@
 namespace {
 
 int
-runBench()
+runBench(const quetzal::bench::Settings &settings)
 {
     using namespace quetzal;
     using algos::AlgoKind;
     using algos::Variant;
-    bench::banner("Table IV: accelerator comparison (PGCUPS)");
+    bench::banner("Table IV: accelerator comparison (PGCUPS)", settings);
 
     // Peak throughput: QUETZAL+C WFA on the long-read dataset.
-    bench::CellBatch batch;
-    const auto ds = bench::makeDatasetPtr("30Kbp");
+    bench::CellBatch batch(settings);
+    const auto ds = bench::makeDatasetPtr("30Kbp", settings.scale);
     const std::size_t wfaCell =
         batch.add(AlgoKind::Wfa, ds, Variant::QzC);
     batch.run();
@@ -61,14 +61,14 @@ runBench()
                  "QUETZAL on raw PGCUPS (GenASM 2.7x, Darwin 1.2x), "
                  "but QUETZAL runs every algorithm in this repo on "
                  "one programmable datapath at ~1.4% SoC overhead.\n";
-    bench::maybeWriteJson("table4_accelerators", batch.outcome());
+    bench::maybeWriteJson("table4_accelerators", batch.outcome(), settings);
     return 0;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    return quetzal::bench::runMain(runBench);
+    return quetzal::bench::runMain(argc, argv, runBench);
 }

@@ -48,15 +48,6 @@ parseShardSpec(std::string_view spec)
     return shard;
 }
 
-std::optional<ShardSpec>
-shardFromEnv()
-{
-    const char *env = std::getenv("QZ_BENCH_SHARD");
-    if (!env || !*env)
-        return std::nullopt;
-    return parseShardSpec(env);
-}
-
 std::string
 shardName(const ShardSpec &shard)
 {

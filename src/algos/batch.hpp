@@ -110,13 +110,13 @@ struct ShardSpec
  */
 std::optional<ShardSpec> parseShardSpec(std::string_view spec);
 
-/** Shard from the QZ_BENCH_SHARD environment variable, if set. */
-std::optional<ShardSpec> shardFromEnv();
-
 /** "K/N" rendering of @p shard. */
 std::string shardName(const ShardSpec &shard);
 
-/** Fault-tolerance knobs of one BatchRunner. */
+/**
+ * Fault-tolerance knobs of one BatchRunner, and the only way to set
+ * them: the runner reads no environment.
+ */
 struct BatchPolicy
 {
     /**
@@ -136,12 +136,15 @@ struct BatchPolicy
      */
     std::string checkpointPath;
 
-    /** Deterministic fault injection (QZ_FAULT_INJECT by default). */
+    /**
+     * Deterministic fault injection; none by default. Entry points
+     * pass faultInjectionFromEnv() (QZ_FAULT_INJECT).
+     */
     std::optional<FaultInjection> inject;
 
     /**
-     * When set, only the cells this shard owns execute (QZ_BENCH_SHARD
-     * by default); the other slots keep their identity with zeroed
+     * When set, only the cells this shard owns execute (a bench's
+     * --shard); the other slots keep their identity with zeroed
      * metrics. Checkpoint resume, writes, and fault injection apply to
      * owned cells only, and injection cell indices stay global — the
      * same QZ_FAULT_INJECT spec fires in exactly one shard.
@@ -214,8 +217,6 @@ class BatchRunner
     explicit BatchRunner(unsigned threads = ThreadPool::hardwareThreads())
         : threads_(threads == 0 ? 1 : threads)
     {
-        policy_.inject = faultInjectionFromEnv();
-        policy_.shard = shardFromEnv();
     }
 
     /** Queue @p cell; @return its index into run()'s result vector. */
@@ -270,24 +271,6 @@ class BatchRunner
     /** Mutable fault-tolerance policy (set before run()). */
     BatchPolicy &policy() { return policy_; }
     const BatchPolicy &policy() const { return policy_; }
-
-    /** Enable checkpoint/resume against @p path. */
-    void setCheckpoint(std::string path)
-    {
-        policy_.checkpointPath = std::move(path);
-    }
-
-    /** Override the injection spec (tests; env is the default). */
-    void setFaultInjection(std::optional<FaultInjection> inject)
-    {
-        policy_.inject = std::move(inject);
-    }
-
-    /** Override the shard (tests/tools; QZ_BENCH_SHARD is the default). */
-    void setShard(std::optional<ShardSpec> shard)
-    {
-        policy_.shard = shard;
-    }
 
     /**
      * Run every queued cell and clear the queue. Results are ordered

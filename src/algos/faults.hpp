@@ -162,7 +162,7 @@ std::string cellKey(std::string_view workload,
  * dataset pair's content, and all simulated-system parameters. Two
  * cells with equal hashes produce bitwise-identical RunResults, which
  * is what makes checkpoint reuse sound (cells are pure functions of
- * their identity). The hash is shard-invariant: QZ_BENCH_SHARD
+ * their identity). The hash is shard-invariant: a bench's --shard
  * changes which process runs a cell, never the cell's identity.
  */
 std::string cellHash(std::string_view workload,

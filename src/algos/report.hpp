@@ -39,9 +39,9 @@ std::optional<RunResult> runResultFromJson(const JsonValue &json);
 std::optional<CellFailure> cellFailureFromJson(const JsonValue &json);
 
 /**
- * One bench sweep's machine-readable report — what QZ_BENCH_JSON
- * emits. An unsharded run serializes every cell; a QZ_BENCH_SHARD
- * run serializes only the owned slots plus their global indices
+ * One bench sweep's machine-readable report — what a bench's --json
+ * emits. An unsharded run serializes every cell; a --shard K/N run
+ * serializes only the owned slots plus their global indices
  * ("shard" and "cells" members), which mergeShardReports() uses to
  * reassemble output byte-identical to the unsharded run.
  */

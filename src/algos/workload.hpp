@@ -135,8 +135,8 @@ const Workload &workloadByName(std::string_view name);
 const Workload &workloadFor(AlgoKind kind);
 
 /**
- * Human-readable catalog (for --list / QZ_BENCH_LIST=1): one line per
- * workload with its supported variants and default datasets.
+ * Human-readable catalog (for --list on tools and benches): one line
+ * per workload with its supported variants and default datasets.
  */
 std::string workloadListing();
 

@@ -1,18 +1,25 @@
 /**
  * @file
- * Regression tests for the command-line and environment input
- * boundaries: negative numeric values must bind as option values (not
- * become flags), unknown option names, stray positional arguments and
- * malformed numeric input must be one usage error instead of silently
- * falling back to a default, and the bench binaries' QZ_BENCH_SCALE/
- * QZ_BENCH_THREADS knobs must be parsed as strictly.
+ * Regression tests for the command-line input boundary: each entry
+ * point declares one option table. Negative numeric values must bind
+ * as option values, a declared flag never takes a value, a value
+ * option without one, unknown option names, stray positional
+ * arguments and malformed or out-of-range numbers must be one usage
+ * error instead of silently falling back to a default, the bench
+ * binaries' --scale/--threads flags must be parsed as strictly, and
+ * every tool's generated --help must name every option it accepts.
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "../bench/bench_common.hpp"
 #include "../tools/cli_common.hpp"
@@ -39,14 +46,24 @@ class Argv
     std::vector<char *> ptrs_;
 };
 
-/** Parse with the option names the tests below use. */
+/** The option table the tests below parse against. */
+constexpr Option kTable[] = {
+    {"bias", "X", "", "a signed number"},
+    {"big", "N", "", "an integer"},
+    {"cigar", "", "", "a flag"},
+    {"rate", "R", "0.5", "a rate"},
+    {"sam", "FILE", "", "an output file"},
+    {"ssthreshold", "E", "", "a signed integer"},
+    {"threads", "N", "3", "a worker count"},
+    {"variant", "V", "qzc", "a name"},
+    {"verbose", "", "", "another flag"},
+};
+
 Args
 parse(std::vector<std::string> args, std::size_t maxPositional = 1)
 {
     Argv argv(std::move(args));
-    return Args(argv.argc(), argv.argv(),
-                {"bias", "big", "cigar", "rate", "ssthreshold", "threads",
-                 "variant", "verbose"},
+    return Args(argv.argc(), argv.argv(), "test [options]\n", kTable,
                 maxPositional);
 }
 
@@ -67,7 +84,7 @@ TEST(Cli, NegativeIntegerBindsAsOptionValue)
     // Regression: "--ssthreshold -5" used to turn into a boolean flag
     // plus a stray "-5" positional.
     const Args args = parse({"pairs.txt", "--ssthreshold", "-5"});
-    EXPECT_EQ(args.getInt("ssthreshold", 0), -5);
+    EXPECT_EQ(args.getInt("ssthreshold"), -5);
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional().front(), "pairs.txt");
 }
@@ -75,7 +92,7 @@ TEST(Cli, NegativeIntegerBindsAsOptionValue)
 TEST(Cli, NegativeDoubleBindsAsOptionValue)
 {
     const Args args = parse({"--bias", "-0.25"});
-    EXPECT_DOUBLE_EQ(args.getDouble("bias", 0.0), -0.25);
+    EXPECT_DOUBLE_EQ(args.getDouble("bias"), -0.25);
     EXPECT_TRUE(args.positional().empty());
 }
 
@@ -83,55 +100,116 @@ TEST(Cli, OptionFollowedByOptionStaysAFlag)
 {
     const Args args = parse({"--verbose", "--threads", "4"});
     EXPECT_TRUE(args.has("verbose"));
-    EXPECT_EQ(args.get("verbose"), "1");
-    EXPECT_EQ(args.getInt("threads", 1), 4);
+    EXPECT_EQ(args.getInt("threads"), 4);
+    // A value option followed by an option has no value. Regression:
+    // "--threads --cigar" ran with threads=1.
+    EXPECT_THROW(parse({"--threads", "--cigar"}), UsageError);
 }
 
 TEST(Cli, TrailingOptionIsAFlag)
 {
     const Args args = parse({"input.txt", "--cigar"});
     EXPECT_TRUE(args.has("cigar"));
-    EXPECT_EQ(args.get("cigar"), "1");
+    EXPECT_FALSE(args.has("verbose"));
+    // A trailing value option has no value. Regression: "qz-align
+    // p.txt --sam" wrote the SAM output to a file named "1".
+    EXPECT_THROW(parse({"input.txt", "--sam"}), UsageError);
 }
 
-TEST(Cli, MissingOptionFallsBack)
+TEST(Cli, FlagNeverTakesTheNextArgument)
+{
+    // Regression: "--cigar p.txt" bound the pair file as --cigar's
+    // value and left no input.
+    const Args args = parse({"--cigar", "p.txt"});
+    EXPECT_TRUE(args.has("cigar"));
+    ASSERT_EQ(args.positional().size(), 1u);
+    EXPECT_EQ(args.positional().front(), "p.txt");
+    const Args verbose = parse({"--verbose", "p.txt"});
+    EXPECT_TRUE(verbose.has("verbose"));
+    EXPECT_EQ(verbose.positional(), std::vector<std::string>{"p.txt"});
+    // Regression: "--cigar 0" turned --cigar on.
+    EXPECT_THROW(parse({"--cigar", "0"}), UsageError);
+    EXPECT_THROW(parse({"p.txt", "--cigar", "0"}), UsageError);
+}
+
+TEST(Cli, MissingOptionReadsTheTableDefault)
 {
     const Args args = parse({"input.txt"});
-    EXPECT_EQ(args.getInt("threads", 3), 3);
-    EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.5), 0.5);
-    EXPECT_EQ(args.get("variant", "qzc"), "qzc");
+    EXPECT_FALSE(args.has("threads"));
+    EXPECT_EQ(args.getInt("threads"), 3);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate"), 0.5);
+    EXPECT_EQ(args.get("variant"), "qzc");
+    EXPECT_EQ(args.get("sam"), "");
+}
+
+TEST(Cli, UndeclaredNameOrMissingDefaultIsAPanic)
+{
+    const Args args = parse({"input.txt"});
+    EXPECT_THROW(args.has("count"), PanicError);
+    EXPECT_THROW(args.get("count"), PanicError);
+    EXPECT_THROW(args.getInt("count"), PanicError);
+    // No value given and none declared: the caller must check has().
+    EXPECT_THROW(args.getInt("big"), PanicError);
 }
 
 TEST(Cli, MalformedIntegerIsFatal)
 {
     // Regression: atol() silently returned 0 for garbage.
     const Args args = parse({"--threads", "abc"});
-    EXPECT_THROW(args.getInt("threads", 1), FatalError);
+    EXPECT_THROW(args.getInt("threads"), UsageError);
     const Args trailing = parse({"--threads", "4x"});
-    EXPECT_THROW(trailing.getInt("threads", 1), FatalError);
+    EXPECT_THROW(trailing.getInt("threads"), UsageError);
 }
 
 TEST(Cli, MalformedDoubleIsFatal)
 {
-    const Args args = parse({"--rate", "fast"});
-    EXPECT_THROW(args.getDouble("rate", 0.0), FatalError);
-    const Args trailing = parse({"--rate", "0.5pct"});
-    EXPECT_THROW(trailing.getDouble("rate", 0.0), FatalError);
+    for (const char *bad : {"fast", "0.5pct", "inf", "nan", "1e999"})
+        EXPECT_THROW(parse({"--rate", bad}).getDouble("rate"),
+                     UsageError)
+            << "'" << bad << "'";
 }
 
 TEST(Cli, OutOfRangeIntegerIsFatal)
 {
     const Args args =
         parse({"--big", "999999999999999999999999999999"});
-    EXPECT_THROW(args.getInt("big", 0), FatalError);
+    EXPECT_THROW(args.getInt("big"), UsageError);
+}
+
+TEST(Cli, IntegerBelowItsMinimumIsAUsageError)
+{
+    // Regression: qz-serve clamped --workers 0 to 1 without a word.
+    EXPECT_THROW(parse({"--threads", "0"}).getInt("threads", 1),
+                 UsageError);
+    EXPECT_THROW(parse({"--big", "-1"}).getInt("big", 0), UsageError);
+    EXPECT_EQ(parse({"--threads", "1"}).getInt("threads", 1), 1);
+    EXPECT_EQ(parse({"--big", "0"}).getInt("big", 0), 0);
 }
 
 TEST(Cli, HelpNeedsNoDeclaration)
 {
+    constexpr Option table[] = {{"count", "N", "100", "pairs"}};
     Argv argv({"--help", "--count", "25"});
-    const Args args(argv.argc(), argv.argv(), {"count"}, 0);
+    const Args args(argv.argc(), argv.argv(), "", table, 0);
     EXPECT_TRUE(args.has("help"));
-    EXPECT_EQ(args.getInt("count", 100), 25);
+    EXPECT_EQ(args.getInt("count"), 25);
+}
+
+TEST(Cli, HelpIsGeneratedFromTheTable)
+{
+    const std::string help = parse({}).help();
+    EXPECT_EQ(help.rfind("test [options]\n", 0), 0u) << help;
+    EXPECT_NE(help.find("\n  --threads N      a worker count (default "
+                        "3)\n"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("\n  --cigar          a flag\n"),
+              std::string::npos)
+        << help;
+    EXPECT_NE(help.find("\n  --help           print this help and "
+                        "exit\n"),
+              std::string::npos)
+        << help;
 }
 
 TEST(Cli, UsageErrorsPrintOnceAndExitTwo)
@@ -142,9 +220,10 @@ TEST(Cli, UsageErrorsPrintOnceAndExitTwo)
     // escaped exactly once at the top level.
     auto tool = [](std::vector<std::string> args) {
         try {
+            constexpr Option table[] = {{"count", "N", "1", "pairs"}};
             Argv argv(std::move(args));
-            const Args parsed(argv.argc(), argv.argv(), {"count"}, 1);
-            parsed.getInt("count", 1);
+            const Args parsed(argv.argc(), argv.argv(), "", table, 1);
+            parsed.getInt("count");
             fatal("no work for {}", "this tool");
         } catch (const std::exception &e) {
             return reportError(e);
@@ -199,70 +278,162 @@ TEST(Cli, SingleDashNameIsAnUnknownOption)
 TEST(Cli, WellFormedValuesStillParse)
 {
     const Args args = parse({"--threads", "8", "--rate", "1.5e-2"});
-    EXPECT_EQ(args.getInt("threads", 1), 8);
-    EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 0.015);
+    EXPECT_EQ(args.getInt("threads"), 8);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate"), 0.015);
 }
 
-/** Set (or, for nullopt, unset) @p name for one scope. */
-class ScopedEnv
+/** Parse a bench's flags against the shared bench table. */
+bench::Settings
+benchSettings(std::vector<std::string> args)
 {
-  public:
-    ScopedEnv(const char *name, std::optional<std::string> value)
-        : name_(name)
-    {
-        if (const char *old = std::getenv(name))
-            old_ = old;
-        if (value)
-            ::setenv(name, value->c_str(), 1);
-        else
-            ::unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (old_)
-            ::setenv(name_, old_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
+    Argv argv(std::move(args));
+    return bench::parseSettings(
+        Args(argv.argc(), argv.argv(), "", bench::kOptions, 0));
+}
 
-  private:
-    const char *name_;
-    std::optional<std::string> old_;
-};
-
-TEST(BenchEnv, ScaleParsesStrictly)
+TEST(BenchFlags, ScaleParsesStrictly)
 {
-    {
-        const ScopedEnv env("QZ_BENCH_SCALE", std::nullopt);
-        EXPECT_DOUBLE_EQ(bench::benchScale(), 1.0);
-    }
-    {
-        const ScopedEnv env("QZ_BENCH_SCALE", "0.02");
-        EXPECT_DOUBLE_EQ(bench::benchScale(), 0.02);
-    }
+    EXPECT_DOUBLE_EQ(benchSettings({}).scale, 1.0);
+    EXPECT_DOUBLE_EQ(benchSettings({"--scale", "0.02"}).scale, 0.02);
     // Regression: atof() turned "abc" into scale 1.0 with no message.
     for (const char *bad : {"abc", "0.5x", "", "0", "-1", "inf", "nan",
-                            "1e999"}) {
-        const ScopedEnv env("QZ_BENCH_SCALE", bad);
-        EXPECT_THROW(bench::benchScale(), FatalError) << "'" << bad << "'";
-    }
+                            "1e999"})
+        EXPECT_THROW(benchSettings({"--scale", bad}), UsageError)
+            << "'" << bad << "'";
 }
 
-TEST(BenchEnv, ThreadsParseStrictly)
+TEST(BenchFlags, ThreadsParseStrictly)
 {
-    {
-        const ScopedEnv env("QZ_BENCH_THREADS", "3");
-        EXPECT_EQ(bench::benchThreads(), 3u);
-    }
+    EXPECT_EQ(benchSettings({"--threads", "3"}).threads, 3u);
     // Regression: a malformed value only warned and fell back to every
     // core.
     for (const char *bad : {"four", "4x", "", "0", "-2", "1.5",
-                            "99999999999999999999999"}) {
-        const ScopedEnv env("QZ_BENCH_THREADS", bad);
-        EXPECT_THROW(bench::benchThreads(), FatalError) << "'" << bad << "'";
+                            "99999999999999999999999", "4294967296"})
+        EXPECT_THROW(benchSettings({"--threads", bad}), UsageError)
+            << "'" << bad << "'";
+}
+
+TEST(BenchFlags, ShardJsonAndCheckpointAreFlags)
+{
+    const bench::Settings settings =
+        benchSettings({"--shard", "2/3", "--json", "-", "--checkpoint",
+                       "c.jsonl"});
+    EXPECT_EQ(settings.shard, (algos::ShardSpec{2, 3}));
+    EXPECT_EQ(settings.json, "-");
+    EXPECT_EQ(settings.checkpoint, "c.jsonl");
+    EXPECT_FALSE(benchSettings({}).shard.has_value());
+    EXPECT_THROW(benchSettings({"--shard", "4/3"}), UsageError);
+}
+
+/** Exit status and merged stdout+stderr of one shell command. */
+struct Exit
+{
+    int status = -1;
+    std::string output;
+};
+
+Exit
+run(const std::string &command)
+{
+    Exit result;
+    FILE *pipe = ::popen((command + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return result;
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        result.output.append(buf, n);
+    const int raw = ::pclose(pipe);
+    result.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+    return result;
+}
+
+/** Lines of @p text that start with "fatal:". */
+std::size_t
+fatalLines(const std::string &text)
+{
+    std::size_t count = text.rfind("fatal:", 0) == 0 ? 1 : 0;
+    for (std::size_t at = text.find("\nfatal:"); at != std::string::npos;
+         at = text.find("\nfatal:", at + 1))
+        ++count;
+    return count;
+}
+
+const std::string kTools = QZ_TOOLS_BIN_DIR;
+
+TEST(ToolHelp, NamesEveryAcceptedOption)
+{
+    for (const std::string &exe :
+         {kTools + "/qz_align", kTools + "/qz_filter",
+          kTools + "/qz_datagen", kTools + "/qz_serve",
+          kTools + "/qz_merge",
+          std::string(QZ_BENCHES_BIN_DIR) + "/bench_table3_area"}) {
+        // The parser's own list of valid names, from a usage error.
+        const Exit unknown = run(exe + " --no-such-option");
+        EXPECT_EQ(unknown.status, 2) << exe;
+        const std::size_t from = unknown.output.find("(valid: ");
+        const std::size_t to = unknown.output.find(')', from);
+        ASSERT_NE(to, std::string::npos) << exe << ": " << unknown.output;
+        const Exit help = run(exe + " --help");
+        EXPECT_EQ(help.status, 0) << exe;
+        std::istringstream names(
+            unknown.output.substr(from + 8, to - from - 8));
+        std::size_t count = 0;
+        for (std::string name; names >> name; ++count)
+            EXPECT_NE(help.output.find("\n  " + name + " "),
+                      std::string::npos)
+                << exe << " --help does not list " << name << ":\n"
+                << help.output;
+        EXPECT_GE(count, 2u) << exe;
     }
+    // The affine penalties were accepted but missing from the
+    // hand-written help.
+    const Exit align = run(kTools + "/qz_align --help");
+    for (const char *name : {"--x N", "--o N", "--e N"})
+        EXPECT_NE(align.output.find(name), std::string::npos) << name;
+}
+
+TEST(ToolArgs, BadValuesExitTwoWithOneFatalLine)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("qz_test_cli_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string pairs = (dir / "p.txt").string();
+    const std::string requests = (dir / "r.jsonl").string();
+    ASSERT_EQ(run(kTools + "/qz_datagen --count 3 --length 60 --out " +
+                  pairs)
+                  .status,
+              0);
+    std::ofstream(requests)
+        << R"({"workload":"WFA","dataset":"100bp_1","scale":0.01})"
+        << "\n";
+    // Regression: "qz-filter --verbose p.txt" bound p.txt as the value
+    // of --verbose.
+    const Exit verbose = run(kTools + "/qz_filter --verbose " + pairs);
+    EXPECT_EQ(verbose.status, 0) << verbose.output;
+    EXPECT_NE(verbose.output.find("pair 0: "), std::string::npos);
+
+    const std::string out = " --out " + (dir / "x.txt").string();
+    // `timeout` bounds a regression: --count -1 once generated
+    // SIZE_MAX pairs.
+    for (const std::string &command :
+         {kTools + "/qz_align --threads 0 " + pairs,
+          kTools + "/qz_filter --threads 0 " + pairs,
+          kTools + "/qz_align --cigar 0 " + pairs,
+          kTools + "/qz_align " + pairs + " --sam",
+          kTools + "/qz_align --x 0 " + pairs,
+          kTools + "/qz_datagen --count -1" + out,
+          kTools + "/qz_datagen --length -1" + out,
+          kTools + "/qz_serve --workers 0 " + requests,
+          kTools + "/qz_serve --queue 0 " + requests,
+          kTools + "/qz_serve --retries 0 " + requests,
+          kTools + "/qz_serve --deadline -1 " + requests}) {
+        const Exit result = run("timeout 5 " + command);
+        EXPECT_EQ(result.status, 2) << command << "\n" << result.output;
+        EXPECT_EQ(fatalLines(result.output), 1u)
+            << command << "\n" << result.output;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -192,8 +192,8 @@ TEST(FaultInjection, InjectedFatalIsIsolatedAndOthersUnaffected)
     algos::BatchRunner batch(2);
     for (const auto &cell : cells)
         batch.add(cell);
-    batch.setFaultInjection(
-        algos::FaultInjection{1, algos::FailureKind::Fatal, 1});
+    batch.policy().inject =
+        algos::FaultInjection{1, algos::FailureKind::Fatal, 1};
     const auto injected = batch.run();
 
     ASSERT_EQ(injected.failures.size(), 1u);
@@ -227,7 +227,7 @@ TEST(FaultInjection, BatchEngineIgnoresProcessLevelActions)
         batch.add(cell);
     algos::FaultInjection inject{1, algos::FailureKind::Panic, 1};
     inject.action = algos::FaultAction::Crash;
-    batch.setFaultInjection(inject);
+    batch.policy().inject = inject;
     const auto outcome = batch.run();
     ASSERT_TRUE(outcome.ok());
     ASSERT_EQ(outcome.results.size(), clean.results.size());
@@ -243,8 +243,8 @@ TEST(FaultInjection, TransientInjectionHealsViaRetry)
     algos::BatchRunner batch(2);
     for (const auto &cell : cells)
         batch.add(cell);
-    batch.setFaultInjection(
-        algos::FaultInjection{2, algos::FailureKind::Transient, 2});
+    batch.policy().inject =
+        algos::FaultInjection{2, algos::FailureKind::Transient, 2};
     // Default policy allows 3 attempts; two injected failures heal.
     const auto outcome = batch.run();
 
@@ -262,8 +262,8 @@ TEST(FaultInjection, TransientInjectionExhaustsBoundedRetries)
     for (const auto &cell : cells)
         batch.add(cell);
     batch.policy().retry.maxAttempts = 2;
-    batch.setFaultInjection(
-        algos::FaultInjection{0, algos::FailureKind::Transient, 5});
+    batch.policy().inject =
+        algos::FaultInjection{0, algos::FailureKind::Transient, 5};
     const auto outcome = batch.run();
 
     ASSERT_EQ(outcome.failures.size(), 1u);
@@ -282,7 +282,7 @@ TEST(FaultInjection, PanicAndUnknownAreTerminal)
         algos::BatchRunner batch(2);
         for (const auto &cell : cells)
             batch.add(cell);
-        batch.setFaultInjection(algos::FaultInjection{0, kind, 1});
+        batch.policy().inject = algos::FaultInjection{0, kind, 1};
         const auto outcome = batch.run();
         ASSERT_EQ(outcome.failures.size(), 1u)
             << algos::failureKindName(kind);
@@ -376,7 +376,7 @@ TEST(Checkpoint, ResumeSkipsCompletedCellsAndMatchesCleanRun)
     // First run: only the first half of the matrix, checkpointed.
     {
         algos::BatchRunner batch(2);
-        batch.setCheckpoint(ckpt.str());
+        batch.policy().checkpointPath = ckpt.str();
         for (std::size_t i = 0; i < cells.size() / 2; ++i)
             batch.add(cells[i]);
         const auto first = batch.run();
@@ -388,11 +388,11 @@ TEST(Checkpoint, ResumeSkipsCompletedCellsAndMatchesCleanRun)
     // completed half must be resumed, not re-simulated — an injection
     // aimed at a resumed cell proves it never executes.
     algos::BatchRunner batch(2);
-    batch.setCheckpoint(ckpt.str());
+    batch.policy().checkpointPath = ckpt.str();
     for (const auto &cell : cells)
         batch.add(cell);
-    batch.setFaultInjection(
-        algos::FaultInjection{0, algos::FailureKind::Fatal, 1});
+    batch.policy().inject =
+        algos::FaultInjection{0, algos::FailureKind::Fatal, 1};
     const auto resumed = batch.run();
 
     EXPECT_TRUE(resumed.ok())
@@ -404,7 +404,7 @@ TEST(Checkpoint, ResumeSkipsCompletedCellsAndMatchesCleanRun)
 
     // Third run: everything resumes.
     algos::BatchRunner full(2);
-    full.setCheckpoint(ckpt.str());
+    full.policy().checkpointPath = ckpt.str();
     for (const auto &cell : cells)
         full.add(cell);
     const auto third = full.run();
@@ -419,21 +419,20 @@ TEST(Checkpoint, FailedCellsAreNotCheckpointed)
     const auto cells = healthyCells();
     {
         algos::BatchRunner batch(2);
-        batch.setCheckpoint(ckpt.str());
+        batch.policy().checkpointPath = ckpt.str();
         for (const auto &cell : cells)
             batch.add(cell);
-        batch.setFaultInjection(
-            algos::FaultInjection{1, algos::FailureKind::Fatal, 1});
+        batch.policy().inject =
+            algos::FaultInjection{1, algos::FailureKind::Fatal, 1};
         const auto outcome = batch.run();
         ASSERT_EQ(outcome.failures.size(), 1u);
     }
     // Rerun without injection: only the failed cell re-simulates and
     // the sweep completes clean.
     algos::BatchRunner batch(2);
-    batch.setCheckpoint(ckpt.str());
+    batch.policy().checkpointPath = ckpt.str();
     for (const auto &cell : cells)
         batch.add(cell);
-    batch.setFaultInjection(std::nullopt);
     const auto outcome = batch.run();
     EXPECT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.resumedCells, cells.size() - 1);
@@ -445,7 +444,7 @@ TEST(Checkpoint, CorruptTrailingLineIsSkipped)
     const auto cells = healthyCells();
     {
         algos::BatchRunner batch(2);
-        batch.setCheckpoint(ckpt.str());
+        batch.policy().checkpointPath = ckpt.str();
         for (const auto &cell : cells)
             batch.add(cell);
         ASSERT_TRUE(batch.run().ok());
@@ -456,7 +455,7 @@ TEST(Checkpoint, CorruptTrailingLineIsSkipped)
         out << "{\"v\":1,\"hash\":\"deadbeef\",\"resu";
     }
     algos::BatchRunner batch(2);
-    batch.setCheckpoint(ckpt.str());
+    batch.policy().checkpointPath = ckpt.str();
     for (const auto &cell : cells)
         batch.add(cell);
     const auto outcome = batch.run();

@@ -55,16 +55,6 @@ cellOptions(algos::Variant variant)
     return options;
 }
 
-/** A runner whose report bytes cannot depend on ambient QZ_* config. */
-algos::BatchRunner
-pinnedRunner()
-{
-    algos::BatchRunner runner(1);
-    runner.setShard(std::nullopt);
-    runner.setFaultInjection(std::nullopt);
-    return runner;
-}
-
 /** Run the cells queued on @p runner and serialize the report. */
 std::string
 reportJson(algos::BatchRunner &runner)
@@ -78,7 +68,7 @@ reportJson(algos::BatchRunner &runner)
 std::string
 tinyMatrixReportJson()
 {
-    algos::BatchRunner runner = pinnedRunner();
+    algos::BatchRunner runner(1);
     std::size_t cells = 0;
     for (const char *name : {"100bp_1", "250bp_1"}) {
         const auto ds = std::make_shared<const genomics::PairDataset>(
@@ -100,7 +90,7 @@ tinyMatrixReportJson()
 std::string
 kernelMatrixReportJson()
 {
-    algos::BatchRunner runner = pinnedRunner();
+    algos::BatchRunner runner(1);
     std::size_t cells = 0;
     for (const char *name : {"histogram", "spmv"}) {
         const algos::Workload &workload = algos::workloadByName(name);

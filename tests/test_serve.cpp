@@ -343,8 +343,6 @@ TEST(ServePool, ServedResultsAreByteIdenticalToDirectRuns)
         EXPECT_EQ(served, algos::toJson(
                               serve::runRequestInProcess(request)));
         algos::BatchRunner runner(1);
-        runner.setFaultInjection(std::nullopt);
-        runner.setShard(std::nullopt);
         runner.add(algos::workloadByName(request.workload),
                    std::make_shared<genomics::PairDataset>(
                        serve::datasetFor(request)),

@@ -329,16 +329,12 @@ TEST(Store, ReportByteIdenticalToInRamRun)
         genomics::makeDataset("100bp_1", 0.1));
 
     algos::BatchRunner ram(1);
-    ram.setShard(std::nullopt);
-    ram.setFaultInjection(std::nullopt);
     addCells(ram,
              std::make_shared<genomics::DatasetPairSource>(dataset));
     const std::string ramJson = algos::toJson(algos::makeBenchReport(
         "store-vs-ram", 0.1, 1, ram.run()));
 
     algos::BatchRunner disk(1);
-    disk.setShard(std::nullopt);
-    disk.setFaultInjection(std::nullopt);
     addCells(disk, std::make_shared<StorePairSource>(store));
     const std::string diskJson = algos::toJson(algos::makeBenchReport(
         "store-vs-ram", 0.1, 1, disk.run()));
@@ -371,8 +367,6 @@ TEST(Store, ShardedStoreRangesMergeByteIdentically)
     };
 
     algos::BatchRunner whole(1);
-    whole.setShard(std::nullopt);
-    whole.setFaultInjection(std::nullopt);
     addRangeCells(whole);
     const std::string wholeJson = algos::toJson(algos::makeBenchReport(
         "store-shards", 0.1, 1, whole.run()));
@@ -380,8 +374,7 @@ TEST(Store, ShardedStoreRangesMergeByteIdentically)
     std::vector<algos::BenchReport> shardReports;
     for (unsigned k = 1; k <= 3; ++k) {
         algos::BatchRunner shard(1);
-        shard.setShard(algos::ShardSpec{k, 3});
-        shard.setFaultInjection(std::nullopt);
+        shard.policy().shard = algos::ShardSpec{k, 3};
         addRangeCells(shard);
         shardReports.push_back(algos::makeBenchReport(
             "store-shards", 0.1, 1, shard.run()));

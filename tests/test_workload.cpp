@@ -51,8 +51,8 @@ runShard(const std::vector<algos::BatchCell> &cells, unsigned threads,
          std::optional<algos::FaultInjection> inject = std::nullopt)
 {
     algos::BatchRunner runner(threads);
-    runner.setShard(shard);
-    runner.setFaultInjection(inject);
+    runner.policy().shard = shard;
+    runner.policy().inject = inject;
     for (const auto &cell : cells)
         runner.add(cell);
     return runner.run();

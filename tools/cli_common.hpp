@@ -1,6 +1,7 @@
 /**
  * @file
- * Tiny argv helper shared by the command-line tools.
+ * Argv parsing shared by the command-line tools and the bench
+ * binaries: each entry point declares one option table.
  */
 #ifndef QUETZAL_TOOLS_CLI_COMMON_HPP
 #define QUETZAL_TOOLS_CLI_COMMON_HPP
@@ -8,19 +9,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <exception>
-#include <initializer_list>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <signal.h>
 
+#include "algos/batch.hpp"
 #include "algos/variant.hpp"
 #include "common/logging.hpp"
 
@@ -113,53 +118,70 @@ reportError(const std::exception &error)
 inline constexpr std::size_t kAnyPositional =
     std::numeric_limits<std::size_t>::max();
 
+/**
+ * One row of an entry point's option table. The table is the only
+ * declaration of an option: the parser accepts exactly its names,
+ * --help is generated from it, and the getters read its defaults.
+ */
+struct Option
+{
+    std::string_view name;     //!< without the leading "--"
+    std::string_view value;    //!< value placeholder; empty for a flag
+    std::string_view fallback; //!< default value; empty for none
+    std::string_view help;     //!< one-line description
+};
+
 /** Parsed "--key value" options plus positional arguments. */
 class Args
 {
   public:
     /**
-     * @param accepted      the option names (without "--") the tool
-     *                      reads; "help" is always accepted. Any other
-     *                      "--name", and any "-name" that is not a
-     *                      number, is a UsageError listing the valid
-     *                      names, so a mistyped flag never falls back
+     * @param usage         the synopsis --help prints above the
+     *                      options, newline-terminated.
+     * @param table         every option the entry point reads, in
+     *                      static storage; "--help" is built in. Any
+     *                      other "--name", and any "-name" that is not
+     *                      a number, is a UsageError listing the valid
+     *                      names, so a mistyped option never falls back
      *                      to a default.
-     * @param maxPositional the most positional arguments the tool
-     *                      reads (kAnyPositional for no bound); one
-     *                      more is a UsageError instead of being
-     *                      silently ignored. A lone "-" (stdin) is a
-     *                      positional.
+     * @param maxPositional the most positional arguments the entry
+     *                      point reads (kAnyPositional for no bound);
+     *                      one more is a UsageError, not ignored. A lone
+     *                      "-" (stdin) is a positional.
      */
-    Args(int argc, char **argv,
-         std::initializer_list<std::string_view> accepted,
-         std::size_t maxPositional)
+    Args(int argc, char **argv, std::string_view usage,
+         std::span<const Option> table, std::size_t maxPositional)
+        : usage_(usage), table_(table)
     {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) == 0) {
-                const std::string key = arg.substr(2);
-                if (key != "help" &&
-                    std::find(accepted.begin(), accepted.end(), key) ==
-                        accepted.end())
-                    unknownOption(arg, accepted);
-                // The next argv is this option's value unless it is
-                // itself an option. A leading '-' only disqualifies it
-                // when it isn't a number: "--ssthreshold -5" must bind
-                // -5 as the value, not turn the option into a flag
-                // with a stray "-5" positional.
-                if (i + 1 < argc &&
-                    (argv[i + 1][0] != '-' ||
-                     looksLikeNumber(argv[i + 1]))) {
-                    options_.insert_or_assign(key,
-                                              std::string(argv[++i]));
-                } else {
-                    options_.insert_or_assign(key,
-                                              std::string("1")); // flag
+                const std::string name = arg.substr(2);
+                const Option *option = find(name);
+                if (!option)
+                    unknownOption(arg);
+                if (option->value.empty()) {
+                    // A flag never takes the next argument, and
+                    // "--cigar 0" is not "--cigar" plus an input
+                    // named "0": numbers are never positionals here.
+                    if (i + 1 < argc && looksLikeNumber(argv[i + 1]))
+                        usageError("option {} is a flag and takes no "
+                                   "value (got '{}')",
+                                   arg, argv[i + 1]);
+                    options_.insert_or_assign(name, "1");
+                    continue;
                 }
-            } else if (arg.size() > 1 && arg[0] == '-' &&
-                       !looksLikeNumber(arg)) {
+                // A value option takes the next argument unless that
+                // is an option name: "--ssthreshold -5" binds -5 and
+                // "--json -" binds stdout, but "--threads --cigar"
+                // has no value.
+                if (i + 1 == argc || isOptionName(argv[i + 1]))
+                    usageError("option {} expects a value {}", arg,
+                               option->value);
+                options_.insert_or_assign(name, std::string(argv[++i]));
+            } else if (isOptionName(arg)) {
                 // "-threads 4" is a mistyped option, not two inputs.
-                unknownOption(arg, accepted);
+                unknownOption(arg);
             } else {
                 if (positional_.size() == maxPositional)
                     usageError("unexpected argument '{}' ({} accepted)",
@@ -174,59 +196,52 @@ class Args
         }
     }
 
-    std::string
-    get(const std::string &key, const std::string &fallback = "") const
+    /** True when @p name was given on the command line. */
+    bool
+    has(std::string_view name) const
     {
-        auto it = options_.find(key);
-        return it == options_.end() ? fallback : it->second;
+        declared(name);
+        return options_.find(name) != options_.end();
+    }
+
+    /** The value given for @p name, else its table default. */
+    std::string
+    get(std::string_view name) const
+    {
+        const Option &option = declared(name);
+        const auto it = options_.find(name);
+        return it == options_.end() ? std::string(option.fallback)
+                                    : it->second;
     }
 
     /**
-     * Integer option value. Malformed input is a fatal diagnostic —
-     * the old atol() path silently turned garbage into 0.
+     * Integer value of @p name (given, else its default). Malformed
+     * input, and a value below @p min, is a UsageError: nothing is
+     * clamped.
      */
     long
-    getInt(const std::string &key, long fallback) const
+    getInt(std::string_view name,
+           long min = std::numeric_limits<long>::min()) const
     {
-        auto it = options_.find(key);
-        if (it == options_.end())
-            return fallback;
-        errno = 0;
-        char *end = nullptr;
-        const long value = std::strtol(it->second.c_str(), &end, 10);
-        if (it->second.empty() ||
-            end != it->second.c_str() + it->second.size())
-            usageError("option --{} expects an integer, got '{}'", key,
-                       it->second);
-        if (errno == ERANGE)
-            usageError("option --{} value '{}' is out of range", key,
-                       it->second);
+        const long value =
+            parse<long>(name, "an integer", [](const char *text,
+                                               char **end) {
+                return std::strtol(text, end, 10);
+            });
+        if (value < min)
+            usageError("option --{} must be at least {}, got {}", name,
+                       min, value);
         return value;
     }
 
-    /** Floating-point option value; malformed input is fatal. */
+    /** Finite floating-point value of @p name; else a UsageError. */
     double
-    getDouble(const std::string &key, double fallback) const
+    getDouble(std::string_view name) const
     {
-        auto it = options_.find(key);
-        if (it == options_.end())
-            return fallback;
-        errno = 0;
-        char *end = nullptr;
-        const double value = std::strtod(it->second.c_str(), &end);
-        if (it->second.empty() ||
-            end != it->second.c_str() + it->second.size())
-            usageError("option --{} expects a number, got '{}'", key,
-                       it->second);
-        if (errno == ERANGE)
-            usageError("option --{} value '{}' is out of range", key,
-                       it->second);
-        return value;
-    }
-
-    bool has(const std::string &key) const
-    {
-        return options_.contains(key);
+        return parse<double>(name, "a number", [](const char *text,
+                                                  char **end) {
+            return std::strtod(text, end);
+        });
     }
 
     const std::vector<std::string> &positional() const
@@ -234,13 +249,88 @@ class Args
         return positional_;
     }
 
-  private:
-    [[noreturn]] static void
-    unknownOption(const std::string &arg,
-                  std::initializer_list<std::string_view> accepted)
+    /** The --help text: the usage, then one line per table row. */
+    std::string
+    help() const
     {
-        std::vector<std::string_view> names(accepted);
-        names.push_back("help");
+        std::vector<Option> rows(table_.begin(), table_.end());
+        rows.push_back(kHelp);
+        std::size_t width = 0;
+        for (const Option &row : rows)
+            width = std::max(width, row.name.size() + row.value.size());
+        std::string text(usage_);
+        for (const Option &row : rows) {
+            const std::string left = qformat("--{} {}", row.name, row.value);
+            text += qformat("  {}{} {}{}\n", left,
+                            std::string(width + 4 - left.size(), ' '),
+                            row.help,
+                            row.fallback.empty()
+                                ? std::string()
+                                : qformat(" (default {})", row.fallback));
+        }
+        return text;
+    }
+
+  private:
+    static constexpr Option kHelp{"help", "", "",
+                                  "print this help and exit"};
+
+    static bool
+    isOptionName(std::string_view arg)
+    {
+        return arg.size() > 1 && arg[0] == '-' &&
+               !looksLikeNumber(std::string(arg));
+    }
+
+    const Option *
+    find(std::string_view name) const
+    {
+        if (name == kHelp.name)
+            return &kHelp;
+        for (const Option &option : table_)
+            if (option.name == name)
+                return &option;
+        return nullptr;
+    }
+
+    /** The row of @p name; reading an undeclared name is a bug. */
+    const Option &
+    declared(std::string_view name) const
+    {
+        const Option *option = find(name);
+        panic_if_not(option != nullptr,
+                     "option --{} is not in the option table", name);
+        return *option;
+    }
+
+    /** Parse @p name's value (given or defaulted) with @p strto. */
+    template <typename T, typename StrTo>
+    T
+    parse(std::string_view name, std::string_view kind, StrTo strto) const
+    {
+        panic_if_not(has(name) || !declared(name).fallback.empty(),
+                     "option --{} has no default; check has() first",
+                     name);
+        const std::string text = get(name);
+        errno = 0;
+        char *end = nullptr;
+        const T value = strto(text.c_str(), &end);
+        if (text.empty() || end != text.c_str() + text.size() ||
+            !std::isfinite(static_cast<double>(value)))
+            usageError("option --{} expects {}, got '{}'", name, kind,
+                       text);
+        if (errno == ERANGE)
+            usageError("option --{} value '{}' is out of range", name,
+                       text);
+        return value;
+    }
+
+    [[noreturn]] void
+    unknownOption(const std::string &arg) const
+    {
+        std::vector<std::string_view> names{kHelp.name};
+        for (const Option &option : table_)
+            names.push_back(option.name);
         std::sort(names.begin(), names.end());
         std::string valid;
         for (const std::string_view name : names)
@@ -248,9 +338,22 @@ class Args
         usageError("unknown option {} (valid: {})", arg, valid);
     }
 
-    std::map<std::string, std::string> options_;
+    std::string usage_;
+    std::span<const Option> table_; //!< static storage: outlives Args
+    std::map<std::string, std::string, std::less<>> options_;
     std::vector<std::string> positional_;
 };
+
+/** The --shard K/N value; a malformed spec is a UsageError. */
+inline std::optional<algos::ShardSpec>
+parseShard(const Args &args)
+{
+    try {
+        return algos::parseShardSpec(args.get("shard"));
+    } catch (const FatalError &error) {
+        throw UsageError(error.what());
+    }
+}
 
 /** Parse a variant name ("base", "vec", "qz", "qzc"). */
 inline algos::Variant
@@ -264,7 +367,7 @@ parseVariant(const std::string &name)
         return algos::Variant::Qz;
     if (name == "qzc" || name == "quetzal")
         return algos::Variant::QzC;
-    fatal("unknown variant '{}' (expected base|vec|qz|qzc)", name);
+    usageError("unknown variant '{}' (expected base|vec|qz|qzc)", name);
 }
 
 } // namespace quetzal::cli

@@ -63,6 +63,39 @@ struct ShardRig
     }
 };
 
+constexpr std::string_view kUsage =
+    "qz-align PAIRFILE [options]\n"
+    "qz-align --store FILE[:FROM-TO] [options]\n"
+    "SIGINT/SIGTERM flush the checkpoint and emit a partial JSON "
+    "report.\n";
+
+constexpr cli::Option kOptions[] = {
+    {"store", "S", "",
+     "stream an indexed read store range (docs/STORE.md)"},
+    {"algo", "A", "wfa", "wfa|biwfa|affine|nw|sw"},
+    {"variant", "V", "qzc", "base|vec|qz|qzc"},
+    {"window", "N", "", "tile ultra-long reads at N bases"},
+    {"maxlen", "N", "", "truncate pairs to N bases"},
+    {"cigar", "", "", "print each alignment's CIGAR"},
+    {"protein", "", "", "use the 8-bit encoding"},
+    {"lag", "N", "0", "adaptive wavefront reduction (WFA heuristic)"},
+    {"x", "N", "4", "affine mismatch penalty (--algo affine)"},
+    {"o", "N", "6", "affine gap-open penalty (--algo affine)"},
+    {"e", "N", "2", "affine gap-extend penalty (--algo affine)"},
+    {"sam", "FILE", "", "write alignments as SAM"},
+    {"threads", "N", "1", "split pairs across N simulated cores"},
+    {"shard", "K/N", "",
+     "align only pairs with index % N == K-1 (multi-process runs)"},
+    {"checkpoint", "F", "",
+     "resume per-pair progress from F (JSONL, crash-safe)"},
+    {"serve", "", "",
+     "round-trip the pairs through a qz-serve worker and verify "
+     "byte-identical results"},
+    {"list", "", "", "print the registered workloads and exit"},
+    {"json", "", "",
+     "print an instruction profile as JSON (one per worker)"},
+};
+
 /** Cycle/instruction totals harvested from one worker's core. */
 struct ShardStats
 {
@@ -78,64 +111,39 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(
-            argc, argv,
-            {"algo", "checkpoint", "cigar", "e", "json", "lag", "list",
-             "maxlen", "o", "protein", "sam", "serve", "shard", "store",
-             "threads", "variant", "window", "x"},
-            1);
+        const cli::Args args(argc, argv, kUsage, kOptions, 1);
+        if (args.has("help")) {
+            std::cout << args.help();
+            return 0;
+        }
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;
         }
-        if (args.has("help") ||
-            (args.positional().empty() && !args.has("store"))) {
-            std::cout
-                << "qz-align PAIRFILE [options]\n"
-                   "qz-align --store FILE[:FROM-TO] [options]\n"
-                   "  --store S      stream an indexed read store "
-                   "range (docs/STORE.md)\n"
-                   "  --algo A       wfa|biwfa|affine|nw|sw (default wfa)\n"
-                   "  --variant V    base|vec|qz|qzc (default qzc)\n"
-                   "  --window N     tile ultra-long reads at N bases\n"
-                   "  --maxlen N     truncate pairs to N bases\n"
-                   "  --cigar        print each alignment's CIGAR\n"
-                   "  --protein      use the 8-bit encoding\n"
-                   "  --lag N        adaptive wavefront reduction "
-                   "(WFA heuristic)\n"
-                   "  --sam FILE     write alignments as SAM\n"
-                   "  --threads N    split pairs across N simulated "
-                   "cores (default 1)\n"
-                   "  --shard K/N    align only pairs with index % N "
-                   "== K-1 (multi-process runs)\n"
-                   "  --checkpoint F resume per-pair progress from F "
-                   "(JSONL, crash-safe)\n"
-                   "  --serve        round-trip the pairs through a "
-                   "qz-serve worker\n"
-                   "                 and verify byte-identical "
-                   "results\n"
-                   "  --list         print the registered workloads "
-                   "and exit\n"
-                   "  --json         print an instruction profile as "
-                   "JSON (one per worker)\n"
-                   "SIGINT/SIGTERM flush the checkpoint and emit a "
-                   "partial JSON report\n";
-            return args.has("help") ? 0 : 2;
-        }
-        cli::installStopHandlers();
-
-        const cli::PairInput input = cli::openPairInput(args);
-
-        const Variant variant =
-            cli::parseVariant(args.get("variant", "qzc"));
-        const std::string algo = args.get("algo", "wfa");
+        if (args.positional().empty() && !args.has("store"))
+            cli::usageError("no PAIRFILE or --store (see --help)");
+        const Variant variant = cli::parseVariant(args.get("variant"));
+        const std::string algo = args.get("algo");
         const auto maxLen = static_cast<std::size_t>(
-            args.getInt("maxlen", 1 << 30));
+            args.has("maxlen") ? args.getInt("maxlen", 1) : 1 << 30);
         const auto esize = args.has("protein")
                                ? genomics::ElementSize::Bits8
                                : genomics::ElementSize::Bits2;
         const long threadsOpt = args.getInt("threads", 1);
-        fatal_if(threadsOpt < 1, "--threads must be at least 1");
+        const std::optional<algos::ShardSpec> shard =
+            cli::parseShard(args);
+        const long window =
+            args.has("window") ? args.getInt("window", 1) : 0;
+        algos::WfaHeuristic heuristic;
+        heuristic.maxLag =
+            static_cast<std::int32_t>(args.getInt("lag", 0));
+        const algos::AffinePenalties penalties{
+            static_cast<std::int32_t>(args.getInt("x", 1)),
+            static_cast<std::int32_t>(args.getInt("o", 0)),
+            static_cast<std::int32_t>(args.getInt("e", 1))};
+        cli::installStopHandlers();
+
+        const cli::PairInput input = cli::openPairInput(args);
 
         // --serve: round-trip the whole pair file through a pooled
         // qz-serve worker process and require the served RunResult to
@@ -163,7 +171,7 @@ main(int argc, char **argv)
                       "not '{}'",
                       algo);
             }();
-            request.variant = args.get("variant", "qzc");
+            request.variant = args.get("variant");
             if (args.has("maxlen"))
                 request.maxLen = static_cast<std::uint64_t>(maxLen);
             request.protein = args.has("protein");
@@ -188,13 +196,10 @@ main(int argc, char **argv)
 
         // --shard K/N: this process owns every pair whose GLOBAL
         // index i satisfies i % N == K-1 (same round-robin
-        // partitioning as the batch engine's QZ_BENCH_SHARD, so a
-        // sweep can be split across machines deterministically).
-        // Store ranges keep store-global indices, so shards of
-        // `reads.qzs:A-B` partition exactly like shards of the
-        // equivalent pair file.
-        const std::optional<algos::ShardSpec> shard =
-            algos::parseShardSpec(args.get("shard", ""));
+        // partitioning as the bench binaries' --shard, so a sweep can
+        // be split across machines deterministically). Store ranges
+        // keep store-global indices, so shards of `reads.qzs:A-B`
+        // partition exactly like shards of the equivalent pair file.
         std::vector<std::size_t> ownedPairs;
         for (std::size_t i = input.begin(); i < input.end(); ++i)
             if (!shard || shard->owns(i))
@@ -218,33 +223,21 @@ main(int argc, char **argv)
             if (text.size() > maxLen)
                 text = text.substr(0, maxLen);
 
-            if (args.has("window")) {
+            if (window > 0) {
                 algos::TiledConfig config;
-                config.windowBases = static_cast<std::size_t>(
-                    args.getInt("window", 30000));
+                config.windowBases = static_cast<std::size_t>(window);
                 return algos::tiledAlign(*rig.engine, pattern, text,
                                          config, esize);
             }
-            if (algo == "wfa") {
-                algos::WfaHeuristic heuristic;
-                heuristic.maxLag = static_cast<std::int32_t>(
-                    args.getInt("lag", 0));
+            if (algo == "wfa")
                 return algos::wfaAlign(*rig.engine, pattern, text,
                                        true, esize, heuristic);
-            }
             if (algo == "biwfa")
                 return algos::biwfaAlign(*rig.engine, pattern, text,
                                          true, esize);
             if (algo == "affine") {
-                algos::AffinePenalties pen;
-                pen.mismatch =
-                    static_cast<std::int32_t>(args.getInt("x", 4));
-                pen.gapOpen =
-                    static_cast<std::int32_t>(args.getInt("o", 6));
-                pen.gapExtend =
-                    static_cast<std::int32_t>(args.getInt("e", 2));
                 const auto affine = algos::affineWfaAlign(
-                    *rig.engine, pattern, text, pen, true, esize);
+                    *rig.engine, pattern, text, penalties, true, esize);
                 algos::AlignResult result;
                 result.score = affine.score;
                 result.cigar = affine.cigar;
@@ -287,7 +280,7 @@ main(int argc, char **argv)
         // re-aligning. A torn trailing line (killed mid-write) is
         // truncated away before appending — same repair as the batch
         // engine's checkpoint.
-        const std::string ckptPath = args.get("checkpoint", "");
+        const std::string ckptPath = args.get("checkpoint");
         std::ofstream ckptOut;
         std::mutex ckptMutex;
         if (!ckptPath.empty()) {
@@ -465,7 +458,7 @@ main(int argc, char **argv)
                 .field("partial", true)
                 .field("input", input.origin())
                 .field("algo", algo)
-                .field("variant", args.get("variant", "qzc"))
+                .field("variant", args.get("variant"))
                 .field("completed",
                        std::uint64_t{ownedPairs.size() -
                                      failedPairs - skippedPairs})

@@ -23,35 +23,32 @@
 #include "genomics/readsim.hpp"
 #include "genomics/store.hpp"
 
+constexpr std::string_view kUsage =
+    "qz-datagen [options]: generate pattern/text pair workloads\n";
+
+constexpr quetzal::cli::Option kOptions[] = {
+    {"dataset", "NAME", "",
+     "Table II dataset (100bp_1|250bp_1|10Kbp|30Kbp)"},
+    {"scale", "S", "1.0", "dataset scale factor"},
+    {"length", "N", "250", "custom read length"},
+    {"error", "R", "0.03", "custom per-base error rate"},
+    {"count", "N", "100", "custom pair count"},
+    {"seed", "N", "42", "RNG seed"},
+    {"out", "FILE", "pairs.txt",
+     "write a '>'/'<' pair file (skipped under --store unless given)"},
+    {"store", "FILE", "",
+     "write an indexed binary read store (docs/STORE.md)"},
+    {"fasta", "FILE", "", "also write the patterns as FASTA"},
+};
+
 int
 main(int argc, char **argv)
 {
     using namespace quetzal;
     try {
-        const cli::Args args(
-            argc, argv,
-            {"count", "dataset", "error", "fasta", "length", "out", "scale",
-             "seed", "store"},
-            0);
+        const cli::Args args(argc, argv, kUsage, kOptions, 0);
         if (args.has("help")) {
-            std::cout
-                << "qz-datagen: generate pattern/text pair workloads\n"
-                   "  --dataset NAME   Table II dataset "
-                   "(100bp_1|250bp_1|10Kbp|30Kbp)\n"
-                   "  --scale S        dataset scale factor "
-                   "(default 1.0)\n"
-                   "  --length N       custom read length\n"
-                   "  --error R        custom per-base error rate "
-                   "(default 0.03)\n"
-                   "  --count N        custom pair count "
-                   "(default 100)\n"
-                   "  --seed N         RNG seed (default 42)\n"
-                   "  --out FILE       write a '>'/'<' pair file "
-                   "(default pairs.txt unless --store)\n"
-                   "  --store FILE     write an indexed binary read "
-                   "store (docs/STORE.md)\n"
-                   "  --fasta FILE     also write the patterns as "
-                   "FASTA\n";
+            std::cout << args.help();
             return 0;
         }
 
@@ -61,17 +58,17 @@ main(int argc, char **argv)
         std::unique_ptr<genomics::GeneratorPairSource> source;
         if (args.has("dataset")) {
             source = std::make_unique<genomics::GeneratorPairSource>(
-                args.get("dataset"), args.getDouble("scale", 1.0));
+                args.get("dataset"), args.getDouble("scale"));
         } else {
             genomics::ReadSimConfig config;
             config.readLength =
-                static_cast<std::size_t>(args.getInt("length", 250));
-            config.errorRate = args.getDouble("error", 0.03);
+                static_cast<std::size_t>(args.getInt("length", 1));
+            config.errorRate = args.getDouble("error");
             config.seed =
-                static_cast<std::uint64_t>(args.getInt("seed", 42));
+                static_cast<std::uint64_t>(args.getInt("seed", 0));
             source = std::make_unique<genomics::GeneratorPairSource>(
                 config,
-                static_cast<std::size_t>(args.getInt("count", 100)));
+                static_cast<std::size_t>(args.getInt("count", 1)));
         }
         const genomics::SourceInfo &info = source->info();
 
@@ -89,7 +86,7 @@ main(int argc, char **argv)
         // A pair file is written by default, but --store alone skips
         // it — the store is the artifact.
         const bool wantPairFile = args.has("out") || !store;
-        const std::string outPath = args.get("out", "pairs.txt");
+        const std::string outPath = args.get("out");
         std::ofstream file;
         if (wantPairFile) {
             file.open(outPath);

@@ -28,60 +28,66 @@
 #include "serve/server.hpp"
 #include "sim/context.hpp"
 
+constexpr std::string_view kUsage =
+    "qz-filter PAIRFILE [options]\n"
+    "qz-filter --store FILE[:FROM-TO] [options]\n"
+    "SIGINT/SIGTERM flush the checkpoint and emit a partial JSON "
+    "report.\n";
+
+constexpr quetzal::cli::Option kOptions[] = {
+    {"store", "S", "",
+     "stream an indexed read store range (docs/STORE.md)"},
+    {"threshold", "E", "",
+     "edit threshold (default: 5% of the read length)"},
+    {"variant", "V", "qzc", "base|vec|qz|qzc"},
+    {"filter", "F", "sneakysnake", "sneakysnake|shouji"},
+    {"accepted", "F", "", "write accepted pairs to F"},
+    {"threads", "N", "1", "split pairs across N simulated cores"},
+    {"shard", "K/N", "",
+     "filter only pairs with index % N == K-1 (multi-process runs)"},
+    {"checkpoint", "F", "",
+     "resume per-pair verdicts from F (JSONL, crash-safe)"},
+    {"serve", "", "",
+     "round-trip the pairs through a qz-serve worker and verify "
+     "byte-identical results"},
+    {"list", "", "", "print the registered workloads and exit"},
+    {"verbose", "", "", "per-pair verdicts"},
+};
+
 int
 main(int argc, char **argv)
 {
     using namespace quetzal;
     using algos::Variant;
     try {
-        const cli::Args args(
-            argc, argv,
-            {"accepted", "checkpoint", "filter", "list", "serve", "shard",
-             "store", "threads", "threshold", "variant", "verbose"},
-            1);
+        const cli::Args args(argc, argv, kUsage, kOptions, 1);
+        if (args.has("help")) {
+            std::cout << args.help();
+            return 0;
+        }
         if (args.has("list")) {
             std::cout << algos::workloadListing();
             return 0;
         }
-        if (args.has("help") ||
-            (args.positional().empty() && !args.has("store"))) {
-            std::cout
-                << "qz-filter PAIRFILE [options]\n"
-                   "qz-filter --store FILE[:FROM-TO] [options]\n"
-                   "  --store S       stream an indexed read store "
-                   "range (docs/STORE.md)\n"
-                   "  --threshold E   edit threshold (default: 5% of "
-                   "the read length)\n"
-                   "  --variant V     base|vec|qz|qzc (default qzc)\n"
-                   "  --filter F      sneakysnake|shouji (default "
-                   "sneakysnake)\n"
-                   "  --accepted F    write accepted pairs to F\n"
-                   "  --threads N     split pairs across N simulated "
-                   "cores (default 1)\n"
-                   "  --shard K/N     filter only pairs with index % N "
-                   "== K-1 (multi-process runs)\n"
-                   "  --checkpoint F  resume per-pair verdicts from F "
-                   "(JSONL, crash-safe)\n"
-                   "  --serve         round-trip the pairs through a "
-                   "qz-serve worker\n"
-                   "                  and verify byte-identical "
-                   "results\n"
-                   "  --list          print the registered workloads "
-                   "and exit\n"
-                   "  --verbose       per-pair verdicts\n"
-                   "SIGINT/SIGTERM flush the checkpoint and emit a "
-                   "partial JSON report\n";
-            return args.has("help") ? 0 : 2;
-        }
+        if (args.positional().empty() && !args.has("store"))
+            cli::usageError("no PAIRFILE or --store (see --help)");
+        const Variant variant = cli::parseVariant(args.get("variant"));
+        const std::string filter = args.get("filter");
+        if (filter != "sneakysnake" && filter != "shouji")
+            cli::usageError("unknown filter '{}' (expected "
+                            "sneakysnake|shouji)",
+                            filter);
+        const bool useShouji = filter == "shouji";
+        const std::optional<std::int64_t> threshold =
+            args.has("threshold") ? std::optional<std::int64_t>(
+                                        args.getInt("threshold", 0))
+                                  : std::nullopt;
+        const long threadsOpt = args.getInt("threads", 1);
+        const std::optional<algos::ShardSpec> shard =
+            cli::parseShard(args);
         cli::installStopHandlers();
 
         const cli::PairInput input = cli::openPairInput(args);
-
-        const Variant variant =
-            cli::parseVariant(args.get("variant", "qzc"));
-        const bool useShouji = args.get("filter") == "shouji";
-        const long threadsOpt = args.getInt("threads", 1);
-        fatal_if(threadsOpt < 1, "--threads must be at least 1");
 
         // --serve: round-trip the pair file through a pooled
         // qz-serve worker running the SS workload and require a
@@ -97,16 +103,15 @@ main(int argc, char **argv)
                      "only");
             serve::ServeRequest request;
             request.workload = "SS";
-            request.variant = args.get("variant", "qzc");
+            request.variant = args.get("variant");
             // Inline-pair datasets carry no nominal read length, so
             // the threshold the per-pair loop below would derive must
             // travel explicitly with the request.
             request.ssThreshold =
-                args.has("threshold")
-                    ? args.getInt("threshold", 0)
-                    : algos::defaultSsThreshold(
-                          input.pair(input.begin()).pattern.size(),
-                          0.033);
+                threshold ? *threshold
+                          : algos::defaultSsThreshold(
+                                input.pair(input.begin()).pattern.size(),
+                                0.033);
             if (input.backedByStore()) {
                 request.store = input.path();
                 request.storeFrom = input.begin();
@@ -120,10 +125,8 @@ main(int argc, char **argv)
         }
 
         // --shard K/N: same round-robin pair ownership as qz-align
-        // and the batch engine's QZ_BENCH_SHARD, over GLOBAL indices
-        // (store ranges shard identically to the equivalent file).
-        const std::optional<algos::ShardSpec> shard =
-            algos::parseShardSpec(args.get("shard", ""));
+        // and the bench binaries' --shard, over GLOBAL indices (store
+        // ranges shard identically to the equivalent file).
         std::vector<std::size_t> ownedPairs;
         for (std::size_t i = input.begin(); i < input.end(); ++i)
             if (!shard || shard->owns(i))
@@ -151,7 +154,7 @@ main(int argc, char **argv)
         // --checkpoint: one JSONL verdict per pair, flushed as
         // written; torn trailing lines are truncated away exactly
         // like the batch engine's checkpoint.
-        const std::string ckptPath = args.get("checkpoint", "");
+        const std::string ckptPath = args.get("checkpoint");
         std::ofstream ckptOut;
         std::mutex ckptMutex;
         if (!ckptPath.empty()) {
@@ -222,11 +225,10 @@ main(int argc, char **argv)
                     const genomics::SequencePair pair = input.pair(i);
                     genomics::validatePair(pair, pair.alphabet, i,
                                            "qz-filter");
-                    v.threshold =
-                        args.has("threshold")
-                            ? args.getInt("threshold", 0)
-                            : algos::defaultSsThreshold(
-                                  pair.pattern.size(), 0.033);
+                    v.threshold = threshold
+                                      ? *threshold
+                                      : algos::defaultSsThreshold(
+                                            pair.pattern.size(), 0.033);
                     if (useShouji) {
                         const auto verdict = algos::shouji(
                             variant, pair.pattern, pair.text,
@@ -323,7 +325,7 @@ main(int argc, char **argv)
                 .field("input", input.origin())
                 .field("filter",
                        useShouji ? "shouji" : "sneakysnake")
-                .field("variant", args.get("variant", "qzc"))
+                .field("variant", args.get("variant"))
                 .field("completed",
                        std::uint64_t{ownedPairs.size() -
                                      failedPairs - skippedPairs})

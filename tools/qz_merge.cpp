@@ -1,8 +1,8 @@
 /**
  * @file
  * qz-merge: reassemble the per-shard JSON reports of one partitioned
- * bench sweep (QZ_BENCH_SHARD=K/N) into the report an unsharded run
- * would have produced — byte-identical, since both paths share the
+ * bench sweep (--shard K/N) into the report an unsharded run would
+ * have produced — byte-identical, since both paths share the
  * algos::toJson(BenchReport) serializer.
  *
  *   qz-merge shard_1.json shard_2.json shard_3.json
@@ -33,10 +33,19 @@ loadShardReport(const std::string &path)
     fatal_if(!report, "'{}' is not a bench report", path);
     fatal_if(!report->shard,
              "'{}' has no shard member — merge wants the per-shard "
-             "files QZ_BENCH_SHARD runs emit",
+             "files a bench run with --shard emits",
              path);
     return std::move(*report);
 }
+
+constexpr std::string_view kUsage =
+    "qz-merge SHARD.json... [options]\n"
+    "Merge the --json reports of one bench sweep run as --shard K/N\n"
+    "into output byte-identical to the unsharded run's report.\n";
+
+constexpr cli::Option kOptions[] = {
+    {"out", "FILE", "", "write the merged report to FILE, not stdout"},
+};
 
 } // namespace
 
@@ -44,18 +53,14 @@ int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(argc, argv, {"out"}, cli::kAnyPositional);
-        if (args.has("help") || args.positional().empty()) {
-            std::cout
-                << "qz-merge SHARD.json... [options]\n"
-                   "  merge the per-shard QZ_BENCH_JSON reports of one\n"
-                   "  QZ_BENCH_SHARD=K/N sweep into output "
-                   "byte-identical\n"
-                   "  to the unsharded run's report\n"
-                   "  --out FILE   write the merged report to FILE\n"
-                   "               (default: stdout)\n";
-            return args.has("help") ? 0 : 2;
+        const cli::Args args(argc, argv, kUsage, kOptions,
+                             cli::kAnyPositional);
+        if (args.has("help")) {
+            std::cout << args.help();
+            return 0;
         }
+        if (args.positional().empty())
+            cli::usageError("no SHARD.json files (see --help)");
 
         std::vector<algos::BenchReport> shards;
         for (const std::string &path : args.positional())

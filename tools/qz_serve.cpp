@@ -68,17 +68,43 @@ parseRequestLine(const std::string &line, std::size_t lineNo,
     return *request;
 }
 
+constexpr std::string_view kUsage =
+    "qz-serve REQUESTS.jsonl [options]   ('-' reads stdin)\n"
+    "QZ_FAULT_INJECT=ID:KIND[:TIMES] injects faults into workers\n"
+    "(kinds: crash|hang plus the exception taxonomy; see "
+    "docs/SERVICE.md).\n";
+
+constexpr cli::Option kOptions[] = {
+    {"workers", "N", "2", "worker processes"},
+    {"queue", "N", "64",
+     "admission bound; requests beyond it are shed with "
+     "status=overloaded under --shed, queued with backpressure "
+     "otherwise"},
+    {"deadline", "MS", "0",
+     "per-request wall clock, 0 for none; a blown deadline kills the "
+     "worker"},
+    {"retries", "N", "2", "deliveries per request incl. the first"},
+    {"shed", "", "", "admission-control mode (see --queue)"},
+    {"out", "FILE", "", "also write responses sorted by id"},
+    {"check", "", "",
+     "re-run ok responses in-process and verify byte-identical results"},
+    {"quiet", "", "", "do not stream responses to stdout"},
+    {"list", "", "", "print the registered workloads and exit"},
+    {"worker", "", "",
+     "internal: serve frames on stdin/stdout as a pool worker"},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     try {
-        const cli::Args args(
-            argc, argv,
-            {"check", "deadline", "list", "out", "queue", "quiet", "retries",
-             "shed", "worker", "workers"},
-            1);
+        const cli::Args args(argc, argv, kUsage, kOptions, 1);
+        if (args.has("help")) {
+            std::cout << args.help();
+            return 0;
+        }
 
         // Internal entry point: this process was fork/exec'd as a
         // pool worker and speaks frames on stdin/stdout. Re-point
@@ -96,40 +122,17 @@ main(int argc, char **argv)
             std::cout << algos::workloadListing();
             return 0;
         }
-        if (args.has("help") || args.positional().empty()) {
-            std::cout
-                << "qz-serve REQUESTS.jsonl [options]   ('-' reads "
-                   "stdin)\n"
-                   "  --workers N    worker processes (default 2)\n"
-                   "  --queue N      admission bound; requests beyond "
-                   "it are shed\n"
-                   "                 with status=overloaded under "
-                   "--shed, queued\n"
-                   "                 with backpressure otherwise "
-                   "(default 64)\n"
-                   "  --deadline MS  per-request wall clock; blown "
-                   "deadlines kill\n"
-                   "                 the worker (default 0 = none)\n"
-                   "  --retries N    deliveries per request incl. the "
-                   "first\n"
-                   "                 (default 2)\n"
-                   "  --shed         admission-control mode (see "
-                   "--queue)\n"
-                   "  --out FILE     also write responses sorted by "
-                   "id\n"
-                   "  --check        re-run ok responses in-process "
-                   "and verify\n"
-                   "                 byte-identical results\n"
-                   "  --quiet        do not stream responses to "
-                   "stdout\n"
-                   "  --list         print the registered workloads "
-                   "and exit\n"
-                   "QZ_FAULT_INJECT=ID:KIND[:TIMES] injects faults "
-                   "into workers\n"
-                   "(kinds: crash|hang plus the exception taxonomy; "
-                   "see docs/SERVICE.md)\n";
-            return args.has("help") ? 0 : 2;
-        }
+        if (args.positional().empty())
+            cli::usageError("no REQUESTS.jsonl or '-' (see --help)");
+        serve::ServeConfig config;
+        config.workers =
+            static_cast<unsigned>(args.getInt("workers", 1));
+        config.queueBound =
+            static_cast<std::size_t>(args.getInt("queue", 1));
+        config.deadlineMs =
+            static_cast<unsigned>(args.getInt("deadline", 0));
+        config.maxDispatchAttempts =
+            static_cast<unsigned>(args.getInt("retries", 1));
 
         // Intake: one JSON request per line. Requests without an
         // explicit id get their line index, so responses are always
@@ -153,15 +156,6 @@ main(int argc, char **argv)
         }
         fatal_if(requests.empty(), "no requests in '{}'", path);
 
-        serve::ServeConfig config;
-        config.workers = static_cast<unsigned>(
-            std::max(1L, args.getInt("workers", 2)));
-        config.queueBound = static_cast<std::size_t>(
-            std::max(1L, args.getInt("queue", 64)));
-        config.deadlineMs = static_cast<unsigned>(
-            std::max(0L, args.getInt("deadline", 0)));
-        config.maxDispatchAttempts = static_cast<unsigned>(
-            std::max(1L, args.getInt("retries", 2)));
         config.inject = algos::faultInjectionFromEnv();
         config.workerCommand = {selfExecutable(argv[0]), "--worker"};
         config.stopFlag = &cli::stopFlag();
