@@ -7,7 +7,9 @@
 #define QUETZAL_COMMON_BITUTIL_HPP
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace quetzal {
 
@@ -86,6 +88,20 @@ inline std::uint64_t
 divCeil(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
+}
+
+/** The little-endian integer in the first @p count (<= 8) bytes. */
+inline std::uint64_t
+loadLittleEndian(const unsigned char *src, std::size_t count)
+{
+    std::uint64_t value = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&value, src, count);
+    } else {
+        for (std::size_t i = 0; i < count; ++i)
+            value |= static_cast<std::uint64_t>(src[i]) << (8 * i);
+    }
+    return value;
 }
 
 } // namespace quetzal

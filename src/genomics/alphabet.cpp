@@ -20,6 +20,39 @@ letters(AlphabetKind kind)
     panic("unknown AlphabetKind {}", static_cast<int>(kind));
 }
 
+namespace {
+
+constexpr std::array<std::uint8_t, 256>
+makeByteTable(std::string_view alphabet, bool nucleotide)
+{
+    std::array<std::uint8_t, 256> table{};
+    for (const char c : alphabet)
+        table[static_cast<unsigned char>(c)] =
+            nucleotide ? kByteValid | kBytePacks : kByteValid;
+    if (nucleotide)
+        table['N'] = kByteValid;
+    return table;
+}
+
+} // namespace
+
+const std::array<std::uint8_t, 256> &
+byteTable(AlphabetKind kind)
+{
+    static constexpr auto kDna = makeByteTable(kDnaLetters, true);
+    static constexpr auto kRna = makeByteTable(kRnaLetters, true);
+    static constexpr auto kProtein = makeByteTable(kProteinLetters, false);
+    switch (kind) {
+      case AlphabetKind::Dna:
+        return kDna;
+      case AlphabetKind::Rna:
+        return kRna;
+      case AlphabetKind::Protein:
+        return kProtein;
+    }
+    panic("unknown AlphabetKind {}", static_cast<int>(kind));
+}
+
 bool
 isValid(AlphabetKind kind, char base)
 {

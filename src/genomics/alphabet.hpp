@@ -10,6 +10,7 @@
 #ifndef QUETZAL_GENOMICS_ALPHABET_HPP
 #define QUETZAL_GENOMICS_ALPHABET_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -41,6 +42,21 @@ bool isValid(AlphabetKind kind, char base);
 
 /** True when every character of @p seq is valid for @p kind. */
 bool isValid(AlphabetKind kind, std::string_view seq);
+
+// Per-byte facts of one alphabet, read with one lookup per base by the
+// pair validator and the read-store codec (byteTable()).
+
+/** A letter of the alphabet, or 'N' for DNA/RNA. */
+inline constexpr std::uint8_t kByteValid = 0x1;
+/** Round-trips through the 2-bit code (encodeBase2()). */
+inline constexpr std::uint8_t kBytePacks = 0x2;
+
+/**
+ * The 256-entry byte table of @p kind: kByteValid for the alphabet's
+ * letters (and 'N' for DNA/RNA), plus kBytePacks for the DNA/RNA
+ * letters. Every other byte, lowercase included, maps to 0.
+ */
+const std::array<std::uint8_t, 256> &byteTable(AlphabetKind kind);
 
 /** Watson-Crick complement of a DNA base; 'N' maps to 'N'. */
 char complement(char base);

@@ -52,14 +52,10 @@ namespace {
 std::size_t
 firstInvalid(std::string_view seq, AlphabetKind kind)
 {
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        const char c = seq[i];
-        if (isValid(kind, c))
-            continue;
-        if (c == 'N' && kind != AlphabetKind::Protein)
-            continue;
-        return i;
-    }
+    const std::array<std::uint8_t, 256> &table = byteTable(kind);
+    for (std::size_t i = 0; i < seq.size(); ++i)
+        if ((table[static_cast<unsigned char>(seq[i])] & kByteValid) == 0)
+            return i;
     return std::string_view::npos;
 }
 

@@ -12,9 +12,9 @@
 #include <deque>
 #include <mutex>
 
+#include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "genomics/datasets.hpp"
-#include "genomics/encoding.hpp"
 
 namespace quetzal::genomics {
 
@@ -24,23 +24,14 @@ namespace {
 constexpr std::size_t kFixedHeaderBytes = 92;
 constexpr std::size_t kIndexEntryBytes = 32;
 constexpr std::size_t kMaxNameBytes = 4096;
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+constexpr std::size_t kChecksumOffset = 48;
+constexpr std::size_t kWriteBufferBytes = 64 * 1024;
+constexpr std::size_t kVerifyChunkBytes = 256 * 1024;
+constexpr std::string_view kRetiredStoreMagic = "QZSTORE1";
 
 constexpr std::uint8_t kFlagPatternRaw = 1u << 0;
 constexpr std::uint8_t kFlagTextRaw = 1u << 1;
 constexpr unsigned kFlagAlphabetShift = 2;
-
-std::uint64_t
-fnvMix(std::uint64_t hash, const unsigned char *bytes,
-       std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
 
 std::size_t
 align8(std::size_t bytes)
@@ -114,21 +105,75 @@ alphabetFromCode(std::uint8_t code)
     }
 }
 
-/** Does 2-bit packing round-trip @p seq? ('N' and proteins do not.) */
-bool
-packs2bit(std::string_view seq, AlphabetKind kind)
+/**
+ * The 2-bit codes of the 8 bytes of @p chunk (byte i in bits 8i..8i+7)
+ * as 16 bits, byte i's in bits 2i..2i+1. A code is the byte's ASCII
+ * bits 1..2 (encodeBase2()), so every shift works on all bytes at once.
+ */
+std::uint64_t
+pack8(std::uint64_t chunk)
 {
-    if (kind == AlphabetKind::Protein)
-        return false;
-    for (const char c : seq) {
-        const char back = kind == AlphabetKind::Rna
-                              ? decodeBase2Rna(encodeBase2(c))
-                              : decodeBase2Dna(encodeBase2(c));
-        if (back != c)
-            return false;
-    }
-    return true;
+    std::uint64_t codes = (chunk >> 1) & 0x0303030303030303ULL;
+    codes = (codes | codes >> 6) & 0x000F000F000F000FULL;
+    codes = (codes | codes >> 12) & 0x000000FF000000FFULL;
+    return (codes | codes >> 24) & 0xFFFFULL;
 }
+
+/**
+ * One pass over @p seq: packs it 2 bits per base, 32 bases per
+ * little-endian word, into @p packed (byte-identical to 4 bases per
+ * byte, LSB-first) and returns the AND of the bytes' entries in their
+ * alphabet's byte @p table. kByteValid is set only when @p seq is
+ * non-empty and every byte is valid; kBytePacks when every byte packs
+ * (otherwise @p packed is meaningless).
+ */
+unsigned
+packSide(std::string_view seq, const std::array<std::uint8_t, 256> &table,
+         std::vector<unsigned char> &packed)
+{
+    const auto *bytes = reinterpret_cast<const unsigned char *>(seq.data());
+    const std::size_t size = seq.size();
+    packed.resize(8 * ((size + 31) / 32));
+    unsigned all = size == 0 ? 0 : kByteValid | kBytePacks;
+    std::uint64_t word = 0;
+    std::size_t at = 0;
+    const auto take = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i)
+            all &= table[bytes[at + i]];
+        word |= pack8(loadLittleEndian(bytes + at, count))
+                << (2 * (at % 32));
+        at += count;
+        if (at % 32 == 0 || at == size) {
+            putU64(packed.data() + (at - 1) / 32 * 8, word);
+            word = 0;
+        }
+    };
+    while (size - at >= 8)
+        take(8);
+    if (at < size)
+        take(size - at);
+    return all;
+}
+
+/** The 4 bases of every packed byte, LSB-first, for one alphabet. */
+struct ByteDecoder
+{
+    char bases[256][4];
+};
+
+/** @p byCode lists the letter of each 2-bit code (encodeBase2()). */
+constexpr ByteDecoder
+makeDecoder(std::string_view byCode)
+{
+    ByteDecoder decoder{};
+    for (unsigned byte = 0; byte < 256; ++byte)
+        for (unsigned i = 0; i < 4; ++i)
+            decoder.bases[byte][i] = byCode[(byte >> (2 * i)) & 0x3u];
+    return decoder;
+}
+
+constexpr ByteDecoder kDnaDecoder = makeDecoder("ACTG");
+constexpr ByteDecoder kRnaDecoder = makeDecoder("ACUG");
 
 /**
  * What a verified checksum vouches for: the file as fstat() saw it on
@@ -216,7 +261,7 @@ encodeHeader(const StoreProvenance &provenance,
     putU64(header.data() + 24, payloadOffset);
     putU64(header.data() + 32, payloadBytes);
     putU64(header.data() + 40, indexOffset);
-    putU64(header.data() + 48, checksum);
+    putU64(header.data() + kChecksumOffset, checksum);
     putU64(header.data() + 56, provenance.seed);
     putU64(header.data() + 64,
            std::bit_cast<std::uint64_t>(provenance.scale));
@@ -251,8 +296,7 @@ encodeIndexEntry(unsigned char *dst, std::uint64_t offset,
 
 StoreWriter::StoreWriter(const std::string &path,
                          StoreProvenance provenance)
-    : path_(path), provenance_(std::move(provenance)),
-      checksum_(kFnvOffset)
+    : path_(path), provenance_(std::move(provenance))
 {
     fatal_if(provenance_.name.size() > kMaxNameBytes,
              "store dataset name longer than {} bytes",
@@ -265,6 +309,7 @@ StoreWriter::StoreWriter(const std::string &path,
     payloadOffset_ = header.size();
     out_.write(reinterpret_cast<const char *>(header.data()),
                static_cast<std::streamsize>(header.size()));
+    pending_.reserve(kWriteBufferBytes);
 }
 
 StoreWriter::~StoreWriter()
@@ -276,27 +321,22 @@ StoreWriter::~StoreWriter()
 }
 
 void
-StoreWriter::appendSequence(std::string_view seq, bool raw)
+StoreWriter::append(const void *bytes, std::size_t count)
 {
-    static thread_local std::vector<unsigned char> packed;
-    const unsigned char *bytes;
-    std::size_t count;
-    if (raw) {
-        bytes = reinterpret_cast<const unsigned char *>(seq.data());
-        count = seq.size();
-    } else {
-        count = packedBytes(seq.size(), false);
-        packed.assign(count, 0);
-        for (std::size_t i = 0; i < seq.size(); ++i)
-            packed[i / 4] = static_cast<unsigned char>(
-                packed[i / 4] |
-                (encodeBase2(seq[i]) << (2 * (i % 4))));
-        bytes = packed.data();
-    }
-    checksum_ = fnvMix(checksum_, bytes, count);
-    out_.write(reinterpret_cast<const char *>(bytes),
-               static_cast<std::streamsize>(count));
+    if (pending_.size() + count > kWriteBufferBytes)
+        flush();
+    const auto *in = static_cast<const unsigned char *>(bytes);
+    pending_.insert(pending_.end(), in, in + count);
     payloadBytes_ += count;
+}
+
+void
+StoreWriter::flush()
+{
+    checksum_.update(pending_.data(), pending_.size());
+    out_.write(reinterpret_cast<const char *>(pending_.data()),
+               static_cast<std::streamsize>(pending_.size()));
+    pending_.clear();
 }
 
 void
@@ -304,27 +344,38 @@ StoreWriter::add(const SequencePair &pair)
 {
     fatal_if(finished_, "store writer for '{}' already finished",
              path_);
-    validatePair(pair, pair.alphabet, index_.size(),
-                 provenance_.name);
+    const std::array<std::uint8_t, 256> &table = byteTable(pair.alphabet);
+    const unsigned pattern = packSide(pair.pattern, table, packedPattern_);
+    const unsigned text = packSide(pair.text, table, packedText_);
+    if ((pattern & text & kByteValid) == 0) {
+        // The byte table found a bad pair; the validator words it.
+        validatePair(pair, pair.alphabet, pairs_, provenance_.name);
+        panic("store pair {} failed the byte table but passed "
+              "validatePair",
+              pairs_);
+    }
     fatal_if(pair.pattern.size() > ~std::uint32_t{0} ||
                  pair.text.size() > ~std::uint32_t{0},
              "store pair {} exceeds the 4 Gbase sequence limit",
-             index_.size());
-    Entry entry;
-    entry.offset = payloadBytes_;
-    entry.patternBases =
-        static_cast<std::uint32_t>(pair.pattern.size());
-    entry.textBases = static_cast<std::uint32_t>(pair.text.size());
-    entry.trueEdits = pair.trueEdits;
-    const bool patternRaw = !packs2bit(pair.pattern, pair.alphabet);
-    const bool textRaw = !packs2bit(pair.text, pair.alphabet);
-    entry.flags = static_cast<std::uint8_t>(
-        (patternRaw ? kFlagPatternRaw : 0) |
-        (textRaw ? kFlagTextRaw : 0) |
-        (alphabetCode(pair.alphabet) << kFlagAlphabetShift));
-    appendSequence(pair.pattern, patternRaw);
-    appendSequence(pair.text, textRaw);
-    index_.push_back(entry);
+             pairs_);
+    const bool patternRaw = (pattern & kBytePacks) == 0;
+    const bool textRaw = (text & kBytePacks) == 0;
+    index_.resize(index_.size() + kIndexEntryBytes);
+    encodeIndexEntry(
+        index_.data() + index_.size() - kIndexEntryBytes, payloadBytes_,
+        static_cast<std::uint32_t>(pair.pattern.size()),
+        static_cast<std::uint32_t>(pair.text.size()), pair.trueEdits,
+        static_cast<std::uint8_t>(
+            (patternRaw ? kFlagPatternRaw : 0) |
+            (textRaw ? kFlagTextRaw : 0) |
+            (alphabetCode(pair.alphabet) << kFlagAlphabetShift)));
+    append(patternRaw ? static_cast<const void *>(pair.pattern.data())
+                      : packedPattern_.data(),
+           packedBytes(pair.pattern.size(), patternRaw));
+    append(textRaw ? static_cast<const void *>(pair.text.data())
+                   : packedText_.data(),
+           packedBytes(pair.text.size(), textRaw));
+    ++pairs_;
 }
 
 void
@@ -332,19 +383,22 @@ StoreWriter::finish()
 {
     fatal_if(finished_, "store writer for '{}' already finished",
              path_);
+    flush();
     const std::uint64_t indexOffset = payloadOffset_ + payloadBytes_;
-    unsigned char entryBytes[kIndexEntryBytes];
-    for (const Entry &entry : index_) {
-        encodeIndexEntry(entryBytes, entry.offset, entry.patternBases,
-                         entry.textBases, entry.trueEdits,
-                         entry.flags);
-        checksum_ = fnvMix(checksum_, entryBytes, kIndexEntryBytes);
-        out_.write(reinterpret_cast<const char *>(entryBytes),
-                   static_cast<std::streamsize>(kIndexEntryBytes));
-    }
-    const auto header =
-        encodeHeader(provenance_, index_.size(), payloadOffset_,
-                     payloadBytes_, indexOffset, checksum_);
+    checksum_.update(index_.data(), index_.size());
+    // Bounded writes here too: one multi-MB write() lets the page cache
+    // back the index with large folios, and every reader that maps the
+    // store then faults in a whole folio per index touch (~1 MiB RSS).
+    for (std::size_t at = 0; at < index_.size(); at += kWriteBufferBytes)
+        out_.write(reinterpret_cast<const char *>(index_.data() + at),
+                   static_cast<std::streamsize>(std::min(
+                       kWriteBufferBytes, index_.size() - at)));
+    // The header is hashed last, with its checksum field zero: its
+    // counts are known only now.
+    auto header = encodeHeader(provenance_, pairs_, payloadOffset_,
+                               payloadBytes_, indexOffset, 0);
+    checksum_.update(header.data(), header.size());
+    putU64(header.data() + kChecksumOffset, checksum_.digest());
     out_.seekp(0);
     out_.write(reinterpret_cast<const char *>(header.data()),
                static_cast<std::streamsize>(header.size()));
@@ -373,6 +427,11 @@ ReadStore::open(const std::string &path,
     fatal_if(store->fileBytes_ < kFixedHeaderBytes,
              "'{}' is not a read store (truncated header)", path);
     store->readBytes(0, fixed, kFixedHeaderBytes);
+    fatal_if(std::memcmp(fixed, kRetiredStoreMagic.data(),
+                         kRetiredStoreMagic.size()) == 0,
+             "store '{}' is in the retired {} format, which this build "
+             "does not read; rewrite it with `qz-datagen --store`",
+             path, kRetiredStoreMagic);
     fatal_if(std::memcmp(fixed, kStoreMagic.data(),
                          kStoreMagic.size()) != 0,
              "'{}' is not a read store (bad magic)", path);
@@ -384,7 +443,7 @@ ReadStore::open(const std::string &path,
     store->payloadOffset_ = getU64(fixed + 24);
     store->payloadBytes_ = getU64(fixed + 32);
     store->indexOffset_ = getU64(fixed + 40);
-    store->checksum_ = getU64(fixed + 48);
+    store->checksum_ = getU64(fixed + kChecksumOffset);
     store->provenance_.seed = getU64(fixed + 56);
     store->provenance_.scale =
         std::bit_cast<double>(getU64(fixed + 64));
@@ -428,23 +487,7 @@ ReadStore::open(const std::string &path,
     if (options.verifyChecksum && !verifiedFiles().contains(identity)) {
         timespec start{};
         ::clock_gettime(CLOCK_REALTIME, &start);
-        // Stream the verification with pread so it never inflates
-        // RSS, even in mmap mode.
-        std::uint64_t hash = kFnvOffset;
-        std::vector<unsigned char> chunk(256 * 1024);
-        std::uint64_t offset = store->payloadOffset_;
-        while (offset < store->fileBytes_) {
-            const std::size_t count = static_cast<std::size_t>(
-                std::min<std::uint64_t>(chunk.size(),
-                                        store->fileBytes_ - offset));
-            const ssize_t got = ::pread(store->fd_, chunk.data(),
-                                        count,
-                                        static_cast<off_t>(offset));
-            fatal_if(got != static_cast<ssize_t>(count),
-                     "read error verifying store '{}'", path);
-            hash = fnvMix(hash, chunk.data(), count);
-            offset += count;
-        }
+        const std::uint64_t hash = store->contentChecksum();
         fatal_if(hash != store->checksum_,
                  "store '{}' failed its content checksum "
                  "(corrupted or torn write)",
@@ -474,6 +517,35 @@ ReadStore::readBytes(std::uint64_t offset, void *dst,
         ::pread(fd_, dst, bytes, static_cast<off_t>(offset));
     fatal_if(got != static_cast<ssize_t>(bytes),
              "read error in store '{}' at offset {}", path_, offset);
+}
+
+std::uint64_t
+ReadStore::contentChecksum() const
+{
+    // Stream with pread through one bounded buffer, so verification
+    // never inflates RSS, even in mmap mode. Hash in write order: the
+    // payload and index, then the header with its checksum field zero.
+    Xxh64 hash;
+    std::vector<unsigned char> chunk(kVerifyChunkBytes);
+    const auto read = [&](std::uint64_t offset, std::size_t count) {
+        const ssize_t got = ::pread(fd_, chunk.data(), count,
+                                    static_cast<off_t>(offset));
+        fatal_if(got != static_cast<ssize_t>(count),
+                 "read error verifying store '{}'", path_);
+    };
+    for (std::uint64_t offset = payloadOffset_; offset < fileBytes_;
+         offset += chunk.size()) {
+        const std::size_t count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk.size(), fileBytes_ - offset));
+        read(offset, count);
+        hash.update(chunk.data(), count);
+    }
+    // open() checked payloadOffset_ against the name length, so the
+    // header fits the chunk.
+    read(0, payloadOffset_);
+    putU64(chunk.data() + kChecksumOffset, 0);
+    hash.update(chunk.data(), payloadOffset_);
+    return hash.digest();
 }
 
 ReadStore::Entry
@@ -527,12 +599,14 @@ ReadStore::decodeSequence(std::uint64_t payloadOffset,
                   count);
         bytes = packed.data();
     }
-    const bool rna = alphabet == AlphabetKind::Rna;
-    for (std::size_t i = 0; i < bases; ++i) {
-        const std::uint8_t code = static_cast<std::uint8_t>(
-            (bytes[i / 4] >> (2 * (i % 4))) & 0x3u);
-        out[i] = rna ? decodeBase2Rna(code) : decodeBase2Dna(code);
-    }
+    const ByteDecoder &decoder =
+        alphabet == AlphabetKind::Rna ? kRnaDecoder : kDnaDecoder;
+    const std::size_t whole = bases / 4;
+    for (std::size_t i = 0; i < whole; ++i)
+        std::memcpy(out.data() + 4 * i, decoder.bases[bytes[i]], 4);
+    if (bases % 4 != 0)
+        std::memcpy(out.data() + 4 * whole, decoder.bases[bytes[whole]],
+                    bases % 4);
 }
 
 void

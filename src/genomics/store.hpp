@@ -11,14 +11,25 @@
  *
  * Layout (all integers little-endian; see docs/STORE.md):
  *
- *   header   magic "QZSTORE1", version, pair count, payload/index
- *            offsets, FNV-1a-64 content checksum, provenance (name,
+ *   header   magic "QZSTORE2", version 2, pair count, payload/index
+ *            offsets, XXH64 content checksum, provenance (name,
  *            scale, seed, read length, error rate)
  *   payload  per pair: packed pattern bytes then packed text bytes
  *            (2-bit codes, 4 bases/byte, or raw 8-bit when the
  *            sequence contains 'N'/non-ACGT characters)
  *   index    one 32-byte entry per pair: payload offset, base
  *            counts, true edit distance, encoding/alphabet flags
+ *
+ * The checksum is XXH64 (seed 0) over the payload, then the index,
+ * then the header with its checksum field zero: the order the writer
+ * produces them in, so it hashes as it appends. A "QZSTORE1" file is
+ * refused with one error naming `qz-datagen --store`, which rewrites
+ * it; version 2 changed only the checksum.
+ *
+ * The codec works a word at a time: one pass per sequence over a
+ * 256-entry byte table (genomics::byteTable) validates and packs 32
+ * bases per 64-bit word, and decoding turns each packed byte into
+ * its 4 letters with one lookup.
  *
  * Determinism contract: decoding pair i of a store written from a
  * PairSource yields that source's pair i byte-for-byte, so
@@ -35,13 +46,14 @@
 #include <string_view>
 #include <vector>
 
+#include "common/xxh64.hpp"
 #include "genomics/pairsource.hpp"
 #include "genomics/sequence.hpp"
 
 namespace quetzal::genomics {
 
-constexpr std::string_view kStoreMagic = "QZSTORE1";
-constexpr std::uint32_t kStoreVersion = 1;
+constexpr std::string_view kStoreMagic = "QZSTORE2";
+constexpr std::uint32_t kStoreVersion = 2;
 
 /** Index sentinel: "to the end of the store". */
 constexpr std::size_t kStoreEnd = ~std::size_t{0};
@@ -59,9 +71,9 @@ struct StoreProvenance
 /**
  * Streaming store writer: add() pairs in order, then finish().
  * Memory stays bounded by the index (32 bytes/pair) — payloads are
- * packed and appended immediately. The header (with the final
- * checksum) is rewritten on finish(), so a crashed writer leaves a
- * store that open() rejects.
+ * packed and written through one 64 KiB buffer. The header (with the
+ * final checksum) is rewritten on finish(), so a crashed writer leaves
+ * a store that open() rejects.
  */
 class StoreWriter
 {
@@ -79,38 +91,34 @@ class StoreWriter
     std::size_t
     pairs() const
     {
-        return index_.size();
+        return pairs_;
     }
 
     /** Write the index, seal the header, close the file. */
     void finish();
 
   private:
-    struct Entry
-    {
-        std::uint64_t offset; //!< payload-relative byte offset
-        std::uint32_t patternBases;
-        std::uint32_t textBases;
-        std::int64_t trueEdits;
-        std::uint8_t flags;
-    };
-
-    void appendSequence(std::string_view seq, bool raw);
+    void append(const void *bytes, std::size_t count);
+    void flush();
 
     std::string path_;
     StoreProvenance provenance_;
     std::ofstream out_;
     std::uint64_t payloadOffset_ = 0;
     std::uint64_t payloadBytes_ = 0;
-    std::uint64_t checksum_;
-    std::vector<Entry> index_;
+    std::size_t pairs_ = 0;
+    Xxh64 checksum_;                     //!< of the bytes written so far
+    std::vector<unsigned char> pending_; //!< payload not yet written
+    std::vector<unsigned char> index_;   //!< encoded entries, in pair order
+    std::vector<unsigned char> packedPattern_, packedText_;
     bool finished_ = false;
 };
 
 struct StoreOpenOptions
 {
     /**
-     * Verify the FNV-1a content checksum (streamed, O(file)). Done
+     * Verify the XXH64 content checksum (streamed through a 256 KiB
+     * buffer, O(file)). Done
      * once per process per file identity (device, inode, size, mtime,
      * ctime, header checksum, taken from fstat() on the open's own
      * fd): a later open of the same identity skips the hash, and a
@@ -204,6 +212,7 @@ class ReadStore
     };
 
     Entry entryOf(std::size_t index) const;
+    std::uint64_t contentChecksum() const;
     void readBytes(std::uint64_t offset, void *dst,
                    std::size_t bytes) const;
     void decodeSequence(std::uint64_t payloadOffset, std::size_t bases,

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -184,6 +185,33 @@ TEST(Cli, IntegerBelowItsMinimumIsAUsageError)
     EXPECT_THROW(parse({"--big", "-1"}).getInt("big", 0), UsageError);
     EXPECT_EQ(parse({"--threads", "1"}).getInt("threads", 1), 1);
     EXPECT_EQ(parse({"--big", "0"}).getInt("big", 0), 0);
+}
+
+TEST(Cli, IntegerAboveItsMaximumIsAUsageError)
+{
+    // Regression: qz-align narrowed --lag 99999999999 to a wrapped
+    // int32_t and ran. Callers pass their target type's range; qz-serve
+    // passes unsigned's for --workers, checked here without a launch.
+    constexpr long kInt32Max = std::numeric_limits<std::int32_t>::max();
+    constexpr long kUnsignedMax = std::numeric_limits<unsigned>::max();
+    for (const char *value : {"2147483648", "99999999999"})
+        EXPECT_THROW(parse({"--big", value}).getInt("big", 0, kInt32Max),
+                     UsageError)
+            << value;
+    EXPECT_EQ(parse({"--big", "2147483647"}).getInt("big", 0, kInt32Max),
+              kInt32Max);
+    EXPECT_THROW(parse({"--threads", "4294967296"})
+                     .getInt("threads", 1, kUnsignedMax),
+                 UsageError);
+    EXPECT_EQ(parse({"--threads", "4294967295"})
+                  .getInt("threads", 1, kUnsignedMax),
+              kUnsignedMax);
+    try {
+        parse({"--big", "99999999999"}).getInt("big", 0, kInt32Max);
+    } catch (const UsageError &error) {
+        EXPECT_STREQ(error.what(), "fatal: option --big must be at most "
+                                   "2147483647, got 99999999999");
+    }
 }
 
 TEST(Cli, HelpNeedsNoDeclaration)
@@ -422,6 +450,15 @@ TEST(ToolArgs, BadValuesExitTwoWithOneFatalLine)
           kTools + "/qz_align --cigar 0 " + pairs,
           kTools + "/qz_align " + pairs + " --sam",
           kTools + "/qz_align --x 0 " + pairs,
+          kTools + "/qz_align " + pairs + " --lag 99999999999",
+          kTools + "/qz_align " + pairs + " --e 2147483648",
+          kTools + "/qz_datagen --dataset 100bp_1 --count 5" + out,
+          kTools + "/qz_datagen --dataset 100bp_1 --length 60" + out,
+          kTools + "/qz_datagen --dataset 100bp_1 --error 0.1" + out,
+          kTools + "/qz_datagen --dataset 100bp_1 --seed 7" + out,
+          kTools + "/qz_datagen --scale 0.5" + out,
+          kTools + "/qz_datagen --error 2" + out,
+          kTools + "/qz_datagen --dataset 100bp_1 --scale 0" + out,
           kTools + "/qz_datagen --count -1" + out,
           kTools + "/qz_datagen --length -1" + out,
           kTools + "/qz_serve --workers 0 " + requests,

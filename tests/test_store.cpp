@@ -7,16 +7,20 @@
  * invariant — store-backed sweeps report byte-identically to in-RAM
  * sweeps, unsharded and through a 3-shard merge — and the
  * once-per-file-identity checksum: a reopened store is not hashed
- * again, while a rewritten or corrupted one always is.
+ * again, while a rewritten or corrupted one always is. The QZSTORE2
+ * codec runs in lockstep with verbatim copies of the QZSTORE1 one,
+ * and XXH64 is checked against published known answers.
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +29,9 @@
 #include "algos/report.hpp"
 #include "algos/workload.hpp"
 #include "common/logging.hpp"
+#include "common/xxh64.hpp"
 #include "genomics/datasets.hpp"
+#include "genomics/encoding.hpp"
 #include "genomics/pairsource.hpp"
 #include "genomics/store.hpp"
 
@@ -33,6 +39,10 @@ namespace quetzal {
 namespace {
 
 using genomics::AlphabetKind;
+using genomics::decodeBase2Dna;
+using genomics::decodeBase2Rna;
+using genomics::encodeBase2;
+using genomics::isValid;
 using genomics::PairBatch;
 using genomics::ReadStore;
 using genomics::SequencePair;
@@ -577,6 +587,315 @@ TEST(Store, FreshStoreIsHashedOnEveryOpen)
         GTEST_SKIP() << "no /proc/self/io: cannot see the hash reads";
     EXPECT_GE(*after - *before,
               std::filesystem::file_size(path.str()) / 2);
+}
+
+/** Every byte of the file at @p path. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** The little-endian u64 at @p offset of @p bytes. */
+std::uint64_t
+le64(const std::string &bytes, std::size_t offset)
+{
+    std::uint64_t value = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        value |= std::uint64_t{static_cast<unsigned char>(
+                     bytes[offset + i])}
+                 << (8 * i);
+    return value;
+}
+
+std::uint64_t
+xxh64(std::string_view bytes)
+{
+    Xxh64 hash;
+    hash.update(bytes.data(), bytes.size());
+    return hash.digest();
+}
+
+TEST(Xxh64, KnownAnswers)
+{
+    EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(xxh64("a"), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ULL);
+
+    // xxhsum's sanity buffer and vectors: 14 bytes reach the 8-byte
+    // tail step and 222 bytes the 32-byte stripes, which the short
+    // strings above never do.
+    std::string buffer(222, '\0');
+    std::uint64_t generator = 2654435761ULL;
+    for (char &byte : buffer) {
+        byte = static_cast<char>(generator >> 56);
+        generator *= 11400714785074694797ULL;
+    }
+    EXPECT_EQ(xxh64(std::string_view(buffer).substr(0, 14)),
+              0x8282dcc4994e35c8ULL);
+    EXPECT_EQ(xxh64(buffer), 0xb641ae8cb691c174ULL);
+}
+
+TEST(Xxh64, DigestDoesNotDependOnHowTheInputIsSplit)
+{
+    std::mt19937_64 rng(17);
+    std::string input(1000, '\0');
+    for (char &byte : input)
+        byte = static_cast<char>(rng());
+    for (const std::size_t length : {0, 1, 7, 31, 32, 33, 64, 95, 1000}) {
+        const std::string_view whole =
+            std::string_view(input).substr(0, length);
+        const std::uint64_t want = xxh64(whole);
+        for (int trial = 0; trial < 20; ++trial) {
+            Xxh64 hash;
+            std::size_t at = 0;
+            while (at < length) {
+                const std::size_t chunk =
+                    std::min<std::size_t>(length - at, rng() % 70);
+                hash.update(whole.data() + at, chunk);
+                at += chunk;
+            }
+            EXPECT_EQ(hash.digest(), want) << "length " << length;
+        }
+    }
+}
+
+// Verbatim copies of the QZSTORE1 codec (packs2bit, the packing loop of
+// StoreWriter::appendSequence, the unpacking loop of decodeSequence)
+// and of the per-character check behind validatePair.
+
+bool
+v1Packs2bit(std::string_view seq, AlphabetKind kind)
+{
+    if (kind == AlphabetKind::Protein)
+        return false;
+    for (const char c : seq) {
+        const char back = kind == AlphabetKind::Rna
+                              ? decodeBase2Rna(encodeBase2(c))
+                              : decodeBase2Dna(encodeBase2(c));
+        if (back != c)
+            return false;
+    }
+    return true;
+}
+
+void
+v1AppendSequence(std::string &payload, std::string_view seq, bool raw)
+{
+    if (raw) {
+        payload += seq;
+        return;
+    }
+    std::vector<unsigned char> packed((seq.size() + 3) / 4, 0);
+    for (std::size_t i = 0; i < seq.size(); ++i)
+        packed[i / 4] = static_cast<unsigned char>(
+            packed[i / 4] |
+            (encodeBase2(seq[i]) << (2 * (i % 4))));
+    payload.append(packed.begin(), packed.end());
+}
+
+std::string
+v1Decode(const std::string &payload, std::size_t offset, std::size_t bases,
+         bool raw, AlphabetKind alphabet)
+{
+    if (raw)
+        return payload.substr(offset, bases);
+    const auto *bytes =
+        reinterpret_cast<const unsigned char *>(payload.data() + offset);
+    std::string out(bases, '\0');
+    const bool rna = alphabet == AlphabetKind::Rna;
+    for (std::size_t i = 0; i < bases; ++i) {
+        const std::uint8_t code = static_cast<std::uint8_t>(
+            (bytes[i / 4] >> (2 * (i % 4))) & 0x3u);
+        out[i] = rna ? decodeBase2Rna(code) : decodeBase2Dna(code);
+    }
+    return out;
+}
+
+std::size_t
+v1FirstInvalid(std::string_view seq, AlphabetKind kind)
+{
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        const char c = seq[i];
+        if (isValid(kind, c))
+            continue;
+        if (c == 'N' && kind != AlphabetKind::Protein)
+            continue;
+        return i;
+    }
+    return std::string_view::npos;
+}
+
+/**
+ * The parts of the error QZSTORE1's validatePair raised for pair
+ * @p index (its index among the accepted pairs), or none.
+ */
+std::optional<std::vector<std::string>>
+v1Error(const SequencePair &pair, std::size_t index)
+{
+    for (const auto &[seq, side] :
+         {std::pair{std::string_view(pair.pattern), "pattern"},
+          std::pair{std::string_view(pair.text), "text"}}) {
+        if (seq.empty())
+            return std::vector<std::string>{
+                qformat("pair {} has an empty {}", index, side)};
+        const std::size_t bad = v1FirstInvalid(seq, pair.alphabet);
+        if (bad != std::string_view::npos)
+            return std::vector<std::string>{
+                qformat("pair {} {} has invalid", index, side),
+                qformat("at position {} ", bad)};
+    }
+    return std::nullopt;
+}
+
+/**
+ * A random pair of length 0-300 per side: letters of its alphabet,
+ * with some sides carrying an 'N', a lowercase letter, a letter of
+ * another alphabet or a 0x00/0x80/0xFF byte.
+ */
+SequencePair
+randomPair(std::mt19937_64 &rng)
+{
+    constexpr AlphabetKind kKinds[] = {AlphabetKind::Dna, AlphabetKind::Rna,
+                                       AlphabetKind::Protein};
+    constexpr char kOdd[] = {'N', 'N', 'a', 'c', 'g', 't', 'u', 'n',
+                             'U', 'T', 'X', '\x00', '\x80', '\xff'};
+    SequencePair pair;
+    pair.alphabet = kKinds[rng() % 3];
+    pair.trueEdits = static_cast<std::int64_t>(rng() % 20) - 1;
+    const std::string_view letters = genomics::letters(pair.alphabet);
+    for (std::string *side : {&pair.pattern, &pair.text}) {
+        const std::size_t length = rng() % 30 == 0 ? 0 : rng() % 301;
+        side->resize(length);
+        for (char &c : *side)
+            c = letters[rng() % letters.size()];
+        for (unsigned odd = rng() % 4; odd < 2 && length > 0; ++odd)
+            (*side)[rng() % length] = kOdd[rng() % sizeof kOdd];
+    }
+    return pair;
+}
+
+TEST(StoreCodec, MatchesTheV1CodecInLockstep)
+{
+    ScopedPath path("store_lockstep.qzs");
+    std::mt19937_64 rng(2024);
+    StoreWriter writer(path.str(), StoreProvenance{});
+    std::vector<SequencePair> accepted;
+    std::vector<std::uint8_t> rawFlags;
+    std::string payload;
+    std::size_t rejected = 0;
+    for (int n = 0; n < 4000; ++n) {
+        const SequencePair pair = randomPair(rng);
+        const auto expected = v1Error(pair, accepted.size());
+        try {
+            writer.add(pair);
+        } catch (const FatalError &error) {
+            ASSERT_TRUE(expected) << "v1 accepted pair " << n << ": "
+                                  << error.what();
+            for (const std::string &part : *expected)
+                EXPECT_NE(std::string(error.what()).find(part),
+                          std::string::npos)
+                    << error.what() << "\nwants: " << part;
+            ++rejected;
+            continue;
+        }
+        ASSERT_FALSE(expected) << "v1 rejected pair " << n << " with "
+                               << expected->front();
+        const bool patternRaw = !v1Packs2bit(pair.pattern, pair.alphabet);
+        const bool textRaw = !v1Packs2bit(pair.text, pair.alphabet);
+        rawFlags.push_back(static_cast<std::uint8_t>(
+            (patternRaw ? 1 : 0) | (textRaw ? 2 : 0)));
+        v1AppendSequence(payload, pair.pattern, patternRaw);
+        v1AppendSequence(payload, pair.text, textRaw);
+        accepted.push_back(pair);
+    }
+    writer.finish();
+    // Both outcomes, and both encodings, are well covered.
+    EXPECT_GT(rejected, 1000u);
+    ASSERT_GT(accepted.size(), 1000u);
+    EXPECT_GT(std::count(rawFlags.begin(), rawFlags.end(), 0), 200);
+    EXPECT_GT(std::count(rawFlags.begin(), rawFlags.end(), 3), 200);
+
+    const std::string file = fileBytes(path.str());
+    const std::uint64_t payloadOffset = le64(file, 24);
+    const std::uint64_t indexOffset = le64(file, 40);
+    EXPECT_TRUE(file.compare(payloadOffset, indexOffset - payloadOffset,
+                             payload) == 0)
+        << "payload bytes differ from QZSTORE1's";
+    ASSERT_EQ(file.size() - indexOffset, 32 * accepted.size());
+
+    const auto store = ReadStore::open(path.str());
+    ASSERT_EQ(store->size(), accepted.size());
+    for (std::size_t i = 0; i < accepted.size(); ++i) {
+        const std::size_t entry = indexOffset + 32 * i;
+        EXPECT_EQ(file[entry + 24] & 0x3, rawFlags[i]) << "pair " << i;
+        const std::uint64_t offset = le64(file, entry);
+        const bool patternRaw = (rawFlags[i] & 1) != 0;
+        const SequencePair &want = accepted[i];
+        const SequencePair got = store->pair(i);
+        const std::string v1Pattern =
+            v1Decode(payload, offset, want.pattern.size(), patternRaw,
+                     want.alphabet);
+        const std::string v1Text = v1Decode(
+            payload,
+            offset + (patternRaw ? want.pattern.size()
+                                 : (want.pattern.size() + 3) / 4),
+            want.text.size(), (rawFlags[i] & 2) != 0, want.alphabet);
+        EXPECT_EQ(got.pattern, v1Pattern) << "pair " << i;
+        EXPECT_EQ(got.text, v1Text) << "pair " << i;
+        EXPECT_EQ(got.pattern, want.pattern) << "pair " << i;
+        EXPECT_EQ(got.text, want.text) << "pair " << i;
+        EXPECT_EQ(got.alphabet, want.alphabet) << "pair " << i;
+        EXPECT_EQ(got.trueEdits, want.trueEdits) << "pair " << i;
+    }
+}
+
+TEST(Store, ChecksumCoversTheHeader)
+{
+    StoreProvenance provenance;
+    provenance.name = "provenance";
+    provenance.seed = 77;
+    provenance.scale = 0.5;
+    // Offsets: seed, scale, error rate, read length, the name.
+    for (const std::uint64_t offset : {56, 64, 72, 80, 92}) {
+        ScopedPath path("store_header.qzs");
+        writeStore(path.str(), mixedPairs(), provenance);
+        EXPECT_NO_THROW(ReadStore::open(path.str()));
+        corruptByte(path.str(), offset);
+        try {
+            ReadStore::open(path.str());
+            ADD_FAILURE() << "flipped header byte " << offset
+                          << " was accepted";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("checksum"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(Store, RetiredV1FormatIsOneFatalLine)
+{
+    ScopedPath path("store_v1.qzs");
+    writeStore(path.str(), mixedPairs());
+    {
+        std::fstream file(path.str(), std::ios::in | std::ios::out |
+                                          std::ios::binary);
+        file.write("QZSTORE1\x01\0\0\0", 12);
+    }
+    try {
+        ReadStore::open(path.str());
+        FAIL() << "a QZSTORE1 header was accepted";
+    } catch (const FatalError &error) {
+        const std::string message = error.what();
+        EXPECT_EQ(message.rfind("fatal: ", 0), 0u) << message;
+        EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+        EXPECT_NE(message.find("QZSTORE1"), std::string::npos) << message;
+        EXPECT_NE(message.find("qz-datagen --store"), std::string::npos)
+            << message;
+    }
 }
 
 } // namespace

@@ -216,12 +216,14 @@ class Args
 
     /**
      * Integer value of @p name (given, else its default). Malformed
-     * input, and a value below @p min, is a UsageError: nothing is
-     * clamped.
+     * input, and a value outside [@p min, @p max], is a UsageError:
+     * nothing is clamped. Callers narrowing the result pass their
+     * target type's range.
      */
     long
     getInt(std::string_view name,
-           long min = std::numeric_limits<long>::min()) const
+           long min = std::numeric_limits<long>::min(),
+           long max = std::numeric_limits<long>::max()) const
     {
         const long value =
             parse<long>(name, "an integer", [](const char *text,
@@ -231,6 +233,9 @@ class Args
         if (value < min)
             usageError("option --{} must be at least {}, got {}", name,
                        min, value);
+        if (value > max)
+            usageError("option --{} must be at most {}, got {}", name,
+                       max, value);
         return value;
     }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 
@@ -134,13 +135,14 @@ main(int argc, char **argv)
             cli::parseShard(args);
         const long window =
             args.has("window") ? args.getInt("window", 1) : 0;
+        constexpr long kInt32Max = std::numeric_limits<std::int32_t>::max();
         algos::WfaHeuristic heuristic;
         heuristic.maxLag =
-            static_cast<std::int32_t>(args.getInt("lag", 0));
+            static_cast<std::int32_t>(args.getInt("lag", 0, kInt32Max));
         const algos::AffinePenalties penalties{
-            static_cast<std::int32_t>(args.getInt("x", 1)),
-            static_cast<std::int32_t>(args.getInt("o", 0)),
-            static_cast<std::int32_t>(args.getInt("e", 1))};
+            static_cast<std::int32_t>(args.getInt("x", 1, kInt32Max)),
+            static_cast<std::int32_t>(args.getInt("o", 0, kInt32Max)),
+            static_cast<std::int32_t>(args.getInt("e", 1, kInt32Max))};
         cli::installStopHandlers();
 
         const cli::PairInput input = cli::openPairInput(args);

@@ -29,11 +29,11 @@ constexpr std::string_view kUsage =
 constexpr quetzal::cli::Option kOptions[] = {
     {"dataset", "NAME", "",
      "Table II dataset (100bp_1|250bp_1|10Kbp|30Kbp)"},
-    {"scale", "S", "1.0", "dataset scale factor"},
+    {"scale", "S", "1.0", "dataset scale factor (with --dataset)"},
     {"length", "N", "250", "custom read length"},
-    {"error", "R", "0.03", "custom per-base error rate"},
+    {"error", "R", "0.03", "custom per-base error rate, 0 to 1"},
     {"count", "N", "100", "custom pair count"},
-    {"seed", "N", "42", "RNG seed"},
+    {"seed", "N", "42", "custom RNG seed"},
     {"out", "FILE", "pairs.txt",
      "write a '>'/'<' pair file (skipped under --store unless given)"},
     {"store", "FILE", "",
@@ -55,15 +55,31 @@ main(int argc, char **argv)
         // The generator IS the dataset: catalog mode replays exactly
         // what makeDataset() would materialize (same seeds, same
         // low/high interleave), custom mode a single simulator.
+        // Each mode reads only its own options, so one given for the
+        // other mode is a mistake, not something to ignore.
         std::unique_ptr<genomics::GeneratorPairSource> source;
         if (args.has("dataset")) {
+            for (const char *custom : {"length", "error", "count", "seed"})
+                if (args.has(custom))
+                    cli::usageError("--{} sets up a custom dataset and "
+                                    "cannot be combined with --dataset",
+                                    custom);
+            const double scale = args.getDouble("scale");
+            if (scale <= 0.0)
+                cli::usageError("option --scale must be positive, got {}",
+                                scale);
             source = std::make_unique<genomics::GeneratorPairSource>(
-                args.get("dataset"), args.getDouble("scale"));
+                args.get("dataset"), scale);
         } else {
+            if (args.has("scale"))
+                cli::usageError("--scale applies only with --dataset");
             genomics::ReadSimConfig config;
             config.readLength =
                 static_cast<std::size_t>(args.getInt("length", 1));
             config.errorRate = args.getDouble("error");
+            if (config.errorRate < 0.0 || config.errorRate > 1.0)
+                cli::usageError("option --error must be in [0, 1], got {}",
+                                config.errorRate);
             config.seed =
                 static_cast<std::uint64_t>(args.getInt("seed", 0));
             source = std::make_unique<genomics::GeneratorPairSource>(

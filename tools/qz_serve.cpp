@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -125,14 +126,15 @@ main(int argc, char **argv)
         if (args.positional().empty())
             cli::usageError("no REQUESTS.jsonl or '-' (see --help)");
         serve::ServeConfig config;
+        constexpr long kUnsignedMax = std::numeric_limits<unsigned>::max();
         config.workers =
-            static_cast<unsigned>(args.getInt("workers", 1));
+            static_cast<unsigned>(args.getInt("workers", 1, kUnsignedMax));
         config.queueBound =
             static_cast<std::size_t>(args.getInt("queue", 1));
         config.deadlineMs =
-            static_cast<unsigned>(args.getInt("deadline", 0));
+            static_cast<unsigned>(args.getInt("deadline", 0, kUnsignedMax));
         config.maxDispatchAttempts =
-            static_cast<unsigned>(args.getInt("retries", 1));
+            static_cast<unsigned>(args.getInt("retries", 1, kUnsignedMax));
 
         // Intake: one JSON request per line. Requests without an
         // explicit id get their line index, so responses are always
